@@ -66,9 +66,8 @@ def _emit(data: dict, out: str | None):
 def auto_threshold(cpx) -> Fraction:
     """The smallest-denominator transversal rational within the range of F
     over the complex's vertices and constant cells."""
-    values = {c.value(c.witness) for c in cpx.cells.values() if c.dim == 0}
-    values |= constant_cell_values(cpx)
     bad = constant_cell_values(cpx)
+    values = {c.value(c.witness) for c in cpx.cells.values() if c.dim == 0} | bad
     if values:
         lo, hi = min(values), max(values)
     else:

@@ -54,8 +54,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown check {self.check!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.architecture[-1] != 1 or len(self.architecture) < 3:
+        if len(self.architecture) < 3 or self.architecture[-1] != 1:
             raise ValueError("architecture must be (n0, ..., nm, 1)")
+        if any(type(v) is not int or v < 1 for v in self.architecture):
+            raise ValueError("architecture widths must be positive integers")
 
     def to_json(self) -> dict:
         out = {

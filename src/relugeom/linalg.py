@@ -1,7 +1,8 @@
 """Exact rational vectors, matrices, and Gaussian elimination.
 
-All geometric computation in this package runs over ``fractions.Fraction``;
-there is no floating point anywhere in the core.  Vectors are plain tuples of
+All geometric computation in this package is exact: it runs over
+``fractions.Fraction``, and the simplex in ``lp`` over scaled integers; there
+is no floating point anywhere in the core.  Vectors are plain tuples of
 Fractions, matrices are tuples of row tuples.
 """
 
@@ -25,6 +26,8 @@ def rat(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"refusing boolean {value!r} as a rational")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

@@ -201,27 +201,41 @@ def network_to_json(net: ReluNetwork) -> dict:
     }
 
 
+def _rationals(values, what: str) -> list[Fraction]:
+    """Parse a JSON array of rationals, naming the entry that is not one."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be an array")
+    out = []
+    for k, v in enumerate(values):
+        try:
+            out.append(rat(v))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{what}[{k}]: {exc}") from exc
+    return out
+
+
 def network_from_json(data: dict) -> ReluNetwork:
-    try:
-        layers_raw = data["layers"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError("network JSON needs a 'layers' list") from exc
+    layers_raw = data.get("layers") if isinstance(data, dict) else None
+    if not isinstance(layers_raw, list):
+        raise ValueError("network JSON needs a 'layers' list")
     layers = []
     for idx, entry in enumerate(layers_raw):
-        try:
-            weights = [[rat(v) for v in row] for row in entry["W"]]
-            bias = [rat(v) for v in entry["b"]]
-        except (TypeError, KeyError) as exc:
-            raise ValueError(f"layer {idx}: expected 'W' and 'b' arrays") from exc
-        except ValueError as exc:
-            raise ValueError(f"layer {idx}: {exc}") from exc
+        if not isinstance(entry, dict) or "W" not in entry or "b" not in entry:
+            raise ValueError(f"layer {idx}: expected an object with 'W' and 'b' arrays")
+        if not isinstance(entry["W"], list):
+            raise ValueError(f"layer {idx}: W must be an array of rows")
+        weights = [_rationals(row, f"layer {idx}: W[{r}]") for r, row in enumerate(entry["W"])]
+        bias = _rationals(entry["b"], f"layer {idx}: b")
         layers.append(AffineMap.of(weights, bias))
     net = ReluNetwork(tuple(layers))
     declared = data.get("architecture")
-    if declared is not None and tuple(declared) != net.architecture:
-        raise ValueError(
-            f"declared architecture {tuple(declared)} does not match layers {net.architecture}"
-        )
+    if declared is not None:
+        if not isinstance(declared, list) or any(type(v) is not int for v in declared):
+            raise ValueError("declared architecture must be an array of integers")
+        if tuple(declared) != net.architecture:
+            raise ValueError(
+                f"declared architecture {tuple(declared)} does not match layers {net.architecture}"
+            )
     return net
 
 

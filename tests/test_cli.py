@@ -247,3 +247,29 @@ def test_svg_bbox_and_errors(tmp_path, capsys, simplex_path, relu_path):
         == EXIT_INPUT
     )
     assert main(["svg", simplex_path, "-t", "0", "-o", str(out)]) == EXIT_NON_TRANSVERSAL
+
+
+OUTPUT_LAYER = {"W": [["1"]], "b": ["0"]}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"layers": 5}, "needs a 'layers' list"),
+        ({"layers": [{"W": [[True]], "b": ["0"]}, OUTPUT_LAYER]}, "W[0][0]: refusing boolean True"),
+        ({"layers": [{"W": [[0.5]], "b": ["0"]}, OUTPUT_LAYER]}, "W[0][0]: refusing inexact float 0.5"),
+    ],
+    ids=["layers-not-a-list", "boolean-weight", "float-weight"],
+)
+def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["complex", str(bad)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+def test_experiment_empty_architecture_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"architecture": [], "trials": 1, "seed": 1}))
+    assert main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert "architecture must be" in capsys.readouterr().err

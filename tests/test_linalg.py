@@ -35,6 +35,8 @@ def test_rat_rejects_garbage_and_floats():
         rat("abc")
     with pytest.raises(TypeError):
         rat(0.25)
+    with pytest.raises(TypeError):  # JSON true must not pass as the rational 1
+        rat(True)
 
 
 def test_rat_str_roundtrip():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from relugeom import lp
 from relugeom.linalg import nullspace, unit, vec
 from relugeom.lp import (
     INFEASIBLE,
@@ -19,6 +20,29 @@ from relugeom.lp import (
 
 def sys_of(dim, ineqs=(), eqs=()):
     return LinearSystem.of(dim, ineqs, eqs)
+
+
+@pytest.fixture(autouse=True)
+def every_answer_is_certified(monkeypatch):
+    """Every LP that a test here solves returns only after its certificate
+    passed check_certificate."""
+    made, passed = [], []
+    simplex, check = lp._simplex, lp.check_certificate
+
+    def spy_simplex(std):
+        cert = simplex(std)
+        made.append(cert)
+        return cert
+
+    def spy_check(std, cert):
+        check(std, cert)
+        passed.append(cert)
+
+    monkeypatch.setattr(lp, "_simplex", spy_simplex)
+    monkeypatch.setattr(lp, "check_certificate", spy_check)
+    yield
+    assert len(passed) == len(made)
+    assert all(p is m for p, m in zip(passed, made))
 
 
 # --- independent oracle: vertex+ray enumeration for recession cones -------
