@@ -93,22 +93,21 @@ def layer_arrangement(layer) -> SolutionSetArrangement:
 def is_generic(s: SolutionSetArrangement) -> bool:
     """General position: every p of the solution sets intersect in an affine
     subspace of dimension n - p, empty when that is negative.  Decided by
-    ranks of the stacked weight and augmented submatrices."""
+    ranks of the stacked weight and augmented submatrices, on the subsets
+    that decide it: independent weights on every min(k, n) rows make every
+    smaller intersection nonempty of the right dimension, and with them an
+    inconsistent system on every n + 1 rows makes every larger one empty."""
     n = s.ambient_dim
     if any(is_zero_vec(w) for w, _ in s.rows):
         return False  # a single degenerate set already has the wrong dimension
-    for p in range(1, len(s.rows) + 1):
-        for subset in itertools.combinations(s.rows, p):
-            weights = tuple(w for w, _ in subset)
-            augmented = tuple(w + (b,) for w, b in subset)
-            if p <= n:
-                # nonempty of dimension exactly n - p
-                if rank(weights) != p or rank(augmented) != p:
-                    return False
-            else:
-                # must be empty
-                if rank(augmented) == rank(weights):
-                    return False
+    p = min(len(s.rows), n)
+    for subset in itertools.combinations(s.rows, p):
+        if rank(tuple(w for w, _ in subset)) != p:
+            return False
+    for subset in itertools.combinations(s.rows, n + 1):
+        # n independent weight rows, so consistent iff the augmented rank is n
+        if rank(tuple(w + (b,) for w, b in subset)) == n:
+            return False
     return True
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .affine import AffineMap
@@ -29,9 +30,10 @@ from .linalg import (
     rat_str,
     vadd,
     vscale,
+    vsub,
     zeros,
 )
-from .lp import LinearSystem, _cone_is_trivial, feasible_point
+from .lp import LinearSystem, feasible_point
 from .network import NodeRef, ReluNetwork
 
 Row = tuple[Vec, Fraction]
@@ -123,46 +125,47 @@ class CanonicalComplex:
     def cells_of_dim(self, k: int) -> list[Cell]:
         return [c for c in self.sorted_cells() if c.dim == k]
 
+    @cached_property
+    def edge_masks(self) -> list[tuple[int, Cell]] | None:
+        """(sign mask, cell) of every 1-cell; None without a vertex, when
+        no cell is pointed and so every cell is unbounded."""
+        if not any(cell.dim == 0 for cell in self.cells.values()):
+            return None
+        return [(sign_mask(k), cell) for k, cell in self.cells.items() if cell.dim == 1]
+
+
+def sign_mask(sign: Sequence[int]) -> int:
+    """The sign vector as bits: 2i set for a + at coordinate i, 2i + 1 for a -."""
+    mask = 0
+    for i, s in enumerate(sign):
+        if s > 0:
+            mask |= 1 << (2 * i)
+        elif s < 0:
+            mask |= 2 << (2 * i)
+    return mask
+
+
+def mask_in_closure(face: int, cell: int) -> bool:
+    """Whether the cell with sign mask ``face`` lies in the closure of the
+    cell with sign mask ``cell``: its signs turn some (or no) +/- coordinates
+    of the other into 0.  The node maps are continuous, so this is exactly
+    the face relation of the complex, the cell itself included."""
+    return face & ~cell == 0
+
 
 def is_face(face_sign: Sequence[int], cell_sign: Sequence[int]) -> bool:
     """Whether the first sign vector names a proper face of the second:
     obtained by turning some (at least one) +/- coordinates into 0."""
-    if face_sign == cell_sign:
-        return False
-    strictly_smaller = False
-    for f, c in zip(face_sign, cell_sign):
-        if c == 0:
-            if f != 0:
-                return False
-        else:
-            if f == 0:
-                strictly_smaller = True
-            elif f != c:
-                return False
-    return strictly_smaller
-
-
-def _bit_masks(sign: Sequence[int]) -> tuple[int, int]:
-    pm = mm = 0
-    for i, s in enumerate(sign):
-        if s > 0:
-            pm |= 1 << i
-        elif s < 0:
-            mm |= 1 << i
-    return pm, mm
+    return face_sign != cell_sign and mask_in_closure(sign_mask(face_sign), sign_mask(cell_sign))
 
 
 def face_pairs(cpx: CanonicalComplex) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (face key, cell key) pairs of distinct cells in the face relation."""
     keys = sorted(cpx.cells)
-    masks = {k: _bit_masks(k) for k in keys}
+    masks = {k: sign_mask(k) for k in keys}
     for kf in keys:
-        pf, mf = masks[kf]
         for kc in keys:
-            if kf == kc:
-                continue
-            pc, mc = masks[kc]
-            if pf & ~pc == 0 and mf & ~mc == 0 and (pf | mf) != (pc | mc):
+            if kf != kc and mask_in_closure(masks[kf], masks[kc]):
                 yield kf, kc
 
 
@@ -328,15 +331,81 @@ def activation_regions(cpx: CanonicalComplex) -> list[Cell]:
     ]
 
 
-def cell_bounded(cell: Cell) -> bool:
-    """Whether the closed cell is bounded (trivial recession cone)."""
+def cell_bounded(cpx: CanonicalComplex, cell: Cell) -> bool:
+    """Whether the closed cell is bounded, read off the face lattice: a
+    vertex is, an edge iff it is a segment, a larger cell iff the complex
+    has a vertex and none of the cell's 1-faces is a ray or a line.  (All
+    cells share one lineality space, and an unbounded pointed polyhedron has
+    an unbounded edge.)  Edges are classified when reached; memoized."""
     if cell.bounded is None:
         if cell.dim == 0:
             cell.bounded = True
+        elif cell.dim == 1:
+            _is_segment(cell)
         else:
-            system, _ = cell.system(closed=True)
-            cell.bounded = _cone_is_trivial(system)
+            edges = cpx.edge_masks
+            mask = sign_mask(cell.sign)
+            cell.bounded = edges is not None and all(
+                _is_segment(edge) for m, edge in edges if mask_in_closure(m, mask)
+            )
     return cell.bounded
+
+
+def _is_segment(edge: Cell) -> bool:
+    if edge.bounded is None:
+        _, lo, hi = _edge_interval(edge)
+        edge.bounded = lo is not None and hi is not None
+    return edge.bounded
+
+
+# --- lines through cells ------------------------------------------------------
+
+SEGMENT = "segment"
+RAY = "ray"
+LINE = "line"
+
+
+def line_interval(rows: Iterable[Row], point: Vec, direction: Vec, lo=None, hi=None):
+    """The t in [lo, hi] for which point + t·direction satisfies every row
+    (w, c) as w·x + c >= 0: a pair (lo, hi), None for an unbounded end, or
+    None when there is no such t."""
+    for w, c in rows:
+        a = dot(w, direction)
+        v = dot(w, point) + c
+        if a == 0:
+            if v < 0:
+                return None
+            continue
+        bound = -v / a
+        if a > 0:
+            lo = bound if lo is None else max(lo, bound)
+        else:
+            hi = bound if hi is None else min(hi, bound)
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def _edge_interval(cell: Cell) -> tuple[Vec, Fraction | None, Fraction | None]:
+    """A direction d of a 1-cell and the (lo, hi) of its closure as witness + t·d."""
+    system, _ = cell.system(closed=True)
+    dirs = nullspace(tuple(w for w, _ in system.equalities), len(cell.witness))
+    assert len(dirs) == 1, "edge geometry needs a 1-dimensional cell"
+    return (dirs[0], *line_interval(system.inequalities, cell.witness, dirs[0]))
+
+
+def edge_geometry(cell: Cell) -> tuple[str, Vec, Vec, Vec | None]:
+    """(kind, base, direction, end) of a 1-cell, exactly."""
+    d, lo, hi = _edge_interval(cell)
+    if lo is None and hi is None:
+        return LINE, cell.witness, d, None
+    if lo is None:  # a ray bounded above: point it the other way
+        d, lo, hi = tuple(-x for x in d), -hi, None
+    base = vadd(cell.witness, vscale(d, lo))
+    if hi is None:
+        return RAY, base, d, None
+    end = vadd(cell.witness, vscale(d, hi))
+    return SEGMENT, base, vsub(end, base), end
 
 
 def locate(cpx: CanonicalComplex, x: Sequence[Fraction]) -> Cell:
@@ -361,10 +430,8 @@ def locate(cpx: CanonicalComplex, x: Sequence[Fraction]) -> Cell:
 def interior_points(cell: Cell, rng, count: int) -> list[Vec]:
     """Random points of the cell's relative interior (the witness first)."""
     n = len(cell.witness)
-    eq_rows = tuple(
-        w for (w, _), s in zip(cell.rows, cell.sign) if s == 0 and not is_zero_vec(w)
-    )
-    dirs = nullspace(eq_rows, n)
+    system, _ = cell.system(closed=True)
+    dirs = nullspace(tuple(w for w, _ in system.equalities), n)
     points = [cell.witness]
     attempts = 0
     while len(points) < count and attempts < 50 * count:
@@ -379,22 +446,7 @@ def interior_points(cell: Cell, rng, count: int) -> list[Vec]:
                 d = vadd(d, vscale(basis_dir, coeff))
         if is_zero_vec(d):
             continue
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        for (w, c), s in zip(cell.rows, cell.sign):
-            if s == 0 or is_zero_vec(w):
-                continue
-            a = dot(w, d)
-            v = dot(w, cell.witness) + c
-            if s < 0:
-                a, v = -a, -v
-            if a == 0:
-                continue
-            bound = -v / a
-            if a > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
+        lo, hi = line_interval(system.inequalities, cell.witness, d)
         frac = Fraction(rng.randint(-7, 7), 8)
         if frac >= 0:
             step = frac * (hi if hi is not None else Fraction(2))
@@ -419,7 +471,7 @@ def complex_to_json(cpx: CanonicalComplex) -> dict:
         entry = {
             "sign": sign_key(k),
             "dim": cell.dim,
-            "bounded": cell_bounded(cell),
+            "bounded": cell_bounded(cpx, cell),
             "faces": sorted(faces[k]),
         }
         if cell.restriction is not None:

@@ -8,6 +8,7 @@ Fractions, matrices are tuples of row tuples.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -16,6 +17,12 @@ Mat = tuple[Vec, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Largest decimal exponent rat() accepts: Fraction expands "1e<exp>" into
+# 10**exp exactly, which takes minutes for "1e999999999".  4300 is CPython's
+# default int <-> str digit limit, beyond which rat_str could not write it.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
 
 def rat(value) -> Fraction:
@@ -31,6 +38,10 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > 4 or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent beyond ±{MAX_DECIMAL_EXPONENT} in {value[:40]!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

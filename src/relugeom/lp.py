@@ -396,24 +396,24 @@ def lp_optimize(system: LinearSystem, objective: Sequence[Fraction], maximize: b
     return LpResult(OPTIMAL, dot(objective, point), point)
 
 
-def recession_cone(system: LinearSystem) -> LinearSystem:
-    """The cone of directions along which the closed solution set recedes."""
-    n = system.dim
-    return LinearSystem(
-        n,
-        tuple((w, ZERO) for w, _ in system.inequalities if not is_zero_vec(w)),
-        tuple((w, ZERO) for w, _ in system.equalities if not is_zero_vec(w)),
-    )
+def recession_cone_is_trivial(system: LinearSystem) -> bool:
+    """Whether the (nonempty) solution set is bounded.
 
-
-def _cone_is_trivial(system: LinearSystem) -> bool:
-    """Whether the recession cone of the system is {0} (no feasibility check)."""
-    cone = recession_cone(system)
+    Decided by 2·dim LPs maximizing each signed coordinate over the recession
+    cone intersected with the unit box.  Raises on an infeasible system.
+    Boundedness of complex cells is read off the face lattice instead
+    (``complexes.cell_bounded``); this is the LP oracle tests compare it to.
+    """
+    if not lp_feasible(system):
+        raise ValueError("recession cone of an infeasible system is undefined")
+    # the recession cone, {d : w·d >= 0 (= 0 for equalities)}, within the unit box
     n = system.dim
     box = tuple((unit(n, i), ONE) for i in range(n)) + tuple(
         (tuple(-x for x in unit(n, i)), ONE) for i in range(n)
     )
-    boxed = LinearSystem(n, cone.inequalities + box, cone.equalities)
+    cone = tuple((w, ZERO) for w, _ in system.inequalities if not is_zero_vec(w))
+    eqs = tuple((w, ZERO) for w, _ in system.equalities if not is_zero_vec(w))
+    boxed = LinearSystem(n, cone + box, eqs)
     for i in range(n):
         e = unit(n, i)
         for obj in (e, tuple(-x for x in e)):
@@ -421,14 +421,3 @@ def _cone_is_trivial(system: LinearSystem) -> bool:
             if res.value > 0:
                 return False
     return True
-
-
-def recession_cone_is_trivial(system: LinearSystem) -> bool:
-    """Whether the (nonempty) solution set is bounded.
-
-    Decided by 2·dim LPs maximizing each signed coordinate over the recession
-    cone intersected with the unit box.  Raises on an infeasible system.
-    """
-    if not lp_feasible(system):
-        raise ValueError("recession cone of an infeasible system is undefined")
-    return _cone_is_trivial(system)

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .complexes import CanonicalComplex, Cell, sign_key
-from .linalg import Vec, dot, is_zero_vec, solve_square, vadd, vscale
-from .topology import RAY, SEGMENT, DecisionTopology, _edge_geometry, oriented_skeleton
+from .complexes import RAY, SEGMENT, CanonicalComplex, Cell, edge_geometry, line_interval, sign_key
+from .linalg import Vec, dot, solve_square, vadd, vscale
+from .topology import DecisionTopology, oriented_skeleton
 
 YES_FILL = "#cde7cd"
 NO_FILL = "#f3cfcf"
@@ -51,17 +51,11 @@ def _box_rows(bbox) -> list[tuple[Vec, Fraction]]:
 
 
 def _clip_cell_polygon(cell: Cell, bbox) -> list[Vec]:
-    """Vertices of the (convex) closed cell intersected with the box, in
-    angular order; empty when the intersection is lower-dimensional."""
-    rows: list[tuple[Vec, Fraction]] = []
-    for (w, c), s in zip(cell.rows, cell.sign):
-        if is_zero_vec(w):
-            continue
-        if s >= 0:
-            rows.append((w, c))
-        if s <= 0:
-            rows.append((tuple(-x for x in w), -c))
-    rows.extend(_box_rows(bbox))
+    """Vertices of the (convex) closed 2-cell intersected with the box, in
+    angular order; empty when the intersection is lower-dimensional.  A
+    2-cell of the plane has no equality rows, only degenerate ones."""
+    system, _ = cell.system(closed=True)
+    rows = list(system.inequalities) + _box_rows(bbox)
     candidates: set[Vec] = set()
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
@@ -88,21 +82,11 @@ def _clip_edge(kind, base, direction, end, bbox) -> tuple[Vec, Vec] | None:
         lo, hi = Fraction(0), None
     else:
         lo, hi = None, None
-    for w, c in _box_rows(bbox):
-        a = dot(w, direction)
-        v = dot(w, base) + c
-        if a == 0:
-            if v < 0:
-                return None
-            continue
-        bound = -v / a
-        if a > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    # unbounded pieces are clipped by the box, so both ends are now finite
-    if lo is None or hi is None or lo > hi:
+    interval = line_interval(_box_rows(bbox), base, direction, lo, hi)
+    if interval is None:
         return None
+    # the box bounds every line, so both ends are now finite
+    lo, hi = interval
     return vadd(base, vscale(direction, lo)), vadd(base, vscale(direction, hi))
 
 
@@ -206,7 +190,7 @@ def render_svg(topology: DecisionTopology, bbox=None) -> str:
         cell = refined.cells[key]
         if key[-1] != 0 or cell.dim != 1:
             continue
-        kind, base_pt, direction, end = _edge_geometry(cell)
+        kind, base_pt, direction, end = edge_geometry(cell)
         clipped = _clip_edge(kind, base_pt, direction, end, bbox)
         if clipped is not None:
             canvas.line(clipped[0], clipped[1], LEVEL_COLOR, 3.0)

@@ -16,15 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (
+    RAY,
+    SEGMENT,
     CanonicalComplex,
-    Cell,
-    _bit_masks,
     build_complex,
     cell_bounded,
+    edge_geometry,
+    mask_in_closure,
     refine_by_threshold,
     sign_key,
+    sign_mask,
 )
-from .linalg import Vec, dot, is_zero_vec, nullspace, rat_str, vadd, vscale, vsub
+from .linalg import Vec, rat_str, vadd
 from .network import ReluNetwork, evaluate, network_to_json
 from .transversality import cell_is_constant, nontransversal_thresholds
 
@@ -122,15 +125,13 @@ class DecisionTopology:
 def _region_components(cpx: CanonicalComplex, keys: list[tuple[int, ...]]) -> list[list]:
     """Connected components of a set of cells under the face relation."""
     uf = _UnionFind(keys)
-    masks = {k: _bit_masks(k) for k in keys}
-    nonzero = {k: masks[k][0] | masks[k][1] for k in keys}
-    by_zeros = sorted(keys, key=lambda k: bin(nonzero[k]).count("1"))
+    masks = {k: sign_mask(k) for k in keys}
+    # a proper face has fewer nonzero signs, so it sorts before its cells
+    by_zeros = sorted(keys, key=lambda k: masks[k].bit_count())
     for i, kf in enumerate(by_zeros):
-        pf, mf = masks[kf]
-        nf = nonzero[kf]
+        mf = masks[kf]
         for kc in by_zeros[i + 1 :]:
-            pc, mc = masks[kc]
-            if pf & ~pc == 0 and mf & ~mc == 0 and nf != nonzero[kc]:
+            if mask_in_closure(mf, masks[kc]):
                 uf.union(kf, kc)
     return sorted(uf.groups().values())
 
@@ -150,17 +151,13 @@ def decision_topology(source: CanonicalComplex | ReluNetwork, t: Fraction) -> De
     for region, trailing in _TRAILING.items():
         comps = []
         for members in _region_components(refined, by_region[trailing]):
-            bounded = all(cell_bounded(refined.cells[k]) for k in members)
+            bounded = all(cell_bounded(refined, refined.cells[k]) for k in members)
             comps.append(RegionComponent(region, tuple(sorted(members)), bounded))
         out[region] = tuple(comps)
     return DecisionTopology(t, out[YES], out[BOUNDARY], out[NO], refined, cpx)
 
 
 # --- the oriented 1-skeleton -------------------------------------------------
-
-SEGMENT = "segment"
-RAY = "ray"
-LINE = "line"
 
 
 @dataclass(frozen=True)
@@ -210,42 +207,6 @@ class OrientedSkeleton:
         return [self.vertex_by_point[p] for p in edge.endpoints()]
 
 
-def _edge_geometry(cell: Cell) -> tuple[str, Vec, Vec, Vec | None]:
-    """(kind, base, direction, end) of a 1-cell, exactly."""
-    n = len(cell.witness)
-    eq_rows = tuple(
-        w for (w, _), s in zip(cell.rows, cell.sign) if s == 0 and not is_zero_vec(w)
-    )
-    dirs = nullspace(eq_rows, n)
-    assert len(dirs) == 1, "edge geometry needs a 1-dimensional cell"
-    d = dirs[0]
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for (w, c), s in zip(cell.rows, cell.sign):
-        if s == 0 or is_zero_vec(w):
-            continue
-        a = dot(w, d)
-        v = dot(w, cell.witness) + c
-        if s < 0:
-            a, v = -a, -v
-        if a == 0:
-            continue
-        bound = -v / a
-        if a > 0:
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            hi = bound if hi is None else min(hi, bound)
-    if lo is None and hi is None:
-        return LINE, cell.witness, d, None
-    if lo is not None and hi is not None:
-        base = vadd(cell.witness, vscale(d, lo))
-        end = vadd(cell.witness, vscale(d, hi))
-        return SEGMENT, base, vsub(end, base), end
-    if lo is not None:
-        return RAY, vadd(cell.witness, vscale(d, lo)), d, None
-    return RAY, vadd(cell.witness, vscale(d, hi)), tuple(-x for x in d), None
-
-
 def oriented_skeleton(source: CanonicalComplex | ReluNetwork) -> OrientedSkeleton:
     """The 1-skeleton with each edge oriented toward increasing F, decided by
     exact evaluation of the network at two distinct points of the edge."""
@@ -261,7 +222,7 @@ def oriented_skeleton(source: CanonicalComplex | ReluNetwork) -> OrientedSkeleto
     for key, cell in cpx.cells.items():
         if cell.dim != 1:
             continue
-        kind, base, direction, end = _edge_geometry(cell)
+        kind, base, direction, end = edge_geometry(cell)
         second = end if kind == SEGMENT else vadd(base, direction)
         v0 = evaluate(net, base)
         v1 = evaluate(net, second)
@@ -319,13 +280,11 @@ def max_subgraph(
     base = topology.base
     trailing = _TRAILING[region]
     member = set(comp.cells)
-    member_masks = [_bit_masks(k) for k in member]
+    member_masks = [sign_mask(k) for k in member]
 
     def in_closure(key) -> bool:
-        if key in member:
-            return True
-        pf, mf = _bit_masks(key)
-        return any(pf & ~pc == 0 and mf & ~mc == 0 for pc, mc in member_masks)
+        mask = sign_mask(key)
+        return any(mask_in_closure(mask, m) for m in member_masks)
 
     closure_vertices = [
         (key, cell)

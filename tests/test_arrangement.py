@@ -108,6 +108,43 @@ def test_square_map_invertible_iff_generic():
         assert invertible == is_generic(s)
 
 
+def exhaustive_is_generic(s):
+    """The definition checked on all 2^k - 1 row subsets: the oracle for
+    is_generic, which checks only the subsets that decide it."""
+    n = s.ambient_dim
+    if any(not any(w) for w, _ in s.rows):
+        return False
+    for p in range(1, len(s.rows) + 1):
+        for subset in itertools.combinations(s.rows, p):
+            weights = tuple(w for w, _ in subset)
+            augmented = tuple(w + (b,) for w, b in subset)
+            if p <= n:
+                if rank(weights) != p or rank(augmented) != p:
+                    return False
+            elif rank(augmented) == rank(weights):
+                return False
+    return True
+
+
+def test_is_generic_matches_exhaustive_oracle():
+    rng = random.Random(2529)
+    found = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(1, 4)
+        rows = [
+            (tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-2, 2))
+            for _ in range(rng.randint(0, 6))
+        ]
+        if rows and rng.random() < 0.2:
+            w, b = rng.choice(rows)
+            rows.append((tuple(2 * x for x in w), rng.choice((2 * b, b + 1))))
+        s = SolutionSetArrangement.of(n, rows)
+        verdict = is_generic(s)
+        assert verdict == exhaustive_is_generic(s), rows
+        found[verdict] += 1
+    assert min(found.values()) >= 300, found
+
+
 # --- count_regions / realizable_codes ---------------------------------------
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,6 +87,24 @@ def test_malformed_rational_exits_2(tmp_path, capsys):
     )
     assert main(["complex", str(bad)]) == EXIT_INPUT
     assert "malformed rational" in capsys.readouterr().err
+
+
+def test_huge_decimal_exponent_exits_2_promptly(tmp_path):
+    # Parsed exactly, "1e999999999" would take minutes; run the CLI in a
+    # child process so that a regression fails on the timeout instead of
+    # hanging the suite.
+    bad = tmp_path / "huge.json"
+    bad.write_text(
+        json.dumps({"layers": [{"W": [["1e999999999"]], "b": ["0"]}, {"W": [["1"]], "b": ["0"]}]})
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "relugeom.cli", "complex", str(bad)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "decimal exponent" in proc.stderr
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):

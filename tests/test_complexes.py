@@ -145,21 +145,21 @@ def test_vertex_cell_is_bounded():
     cpx = build_complex(fig1_net())
     for cell in cpx.cells.values():
         if cell.dim == 0:
-            assert cell_bounded(cell)
+            assert cell_bounded(cpx, cell)
 
 
 def test_regions_of_few_hyperplanes_unbounded():
     net = net_of(([[1, 0], [0, 1]], [0, 0]), ([[1, 1]], [0]))
     cpx = build_complex(net)
     for cell in activation_regions(cpx):
-        assert not cell_bounded(cell)
+        assert not cell_bounded(cpx, cell)
 
 
 def test_central_triangle_is_bounded():
     cpx = build_complex(fig1_net())
     # x > 0, y > 0, x + y < 1
     triangle = cpx.cells[(1, 1, -1)]
-    assert cell_bounded(triangle)
+    assert cell_bounded(cpx, triangle)
     assert triangle.contains(vec(["1/4", "1/4"]))
 
 
@@ -275,4 +275,4 @@ def test_simplex_net_flat_on_simplex():
     assert inside.dim == 2
     w, c = inside.restriction.row(0)
     assert all(x == 0 for x in w) and c == 0
-    assert cell_bounded(inside)
+    assert cell_bounded(cpx, inside)

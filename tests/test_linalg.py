@@ -39,6 +39,16 @@ def test_rat_rejects_garbage_and_floats():
         rat(True)
 
 
+def test_rat_refuses_huge_decimal_exponents():
+    # Fraction would expand 10**exp exactly: minutes for the larger ones
+    for text in ("1e4301", "-3E-5000", "1e5000000", "1e999999999", "1e-999999999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            rat(text)
+    assert rat("2.5e3") == 2500
+    assert rat(" 1e-0_2 ") == Fraction(1, 100)
+    assert rat("1e4300") == 10**4300
+
+
 def test_rat_str_roundtrip():
     for s in ["3/4", "-2", "0", "7/3"]:
         assert rat_str(rat(s)) == s

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import lp_oracle
-from relugeom import arrangement, complexes, lp
+from relugeom import arrangement, complexes, lp, topology
 from relugeom.harness import ExperimentConfig, run_trial
 from relugeom.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearSystem, StandardLP
 
@@ -139,8 +139,18 @@ def test_unbounded_and_infeasible_agree():
 
 @pytest.fixture
 def trial_lps(monkeypatch):
-    """Record the LP calls that the first seeded (3,3,1,1) Johnson trials make."""
+    """Record the LP calls that the first seeded (3,3,1,1) Johnson trials
+    make, plus those of the LP boundedness oracle on every cell of each
+    trial's refined complex (the trials themselves decide boundedness
+    without LP, so only the oracle calls lp_optimize)."""
     calls = []
+    refined = []
+    refine = topology.refine_by_threshold
+
+    def spy_refine(cpx, t):
+        refined.append(refine(cpx, t))
+        return refined[-1]
+
     feasible, optimize = lp.feasible_point, lp.lp_optimize
 
     def spy_feasible(system, strict=()):
@@ -156,11 +166,15 @@ def trial_lps(monkeypatch):
         if hasattr(module, "feasible_point"):
             monkeypatch.setattr(module, "feasible_point", spy_feasible)
     monkeypatch.setattr(lp, "lp_optimize", spy_optimize)
+    monkeypatch.setattr(topology, "refine_by_threshold", spy_refine)
     cfg = ExperimentConfig(
         architecture=(3, 3, 1, 1), trials=3, seed=64002, check="johnson", bound=9
     )
     for index in range(3):
         run_trial(cfg, index)
+    for cpx in refined:
+        for cell in cpx.sorted_cells():
+            lp.recession_cone_is_trivial(cell.system(closed=True)[0])
     monkeypatch.undo()
     return calls
 

@@ -118,7 +118,7 @@ def test_deep_partition_and_boundedness():
             assert cell.value(x) == evaluate(net, x)
         # a cell of full dimension with a bounded closure must have vertices
         for cell in cpx.cells.values():
-            if cell.dim == 2 and cell_bounded(cell):
+            if cell.dim == 2 and cell_bounded(cpx, cell):
                 faces = [
                     c
                     for c in cpx.cells.values()
