@@ -199,19 +199,18 @@ def enumerate_vertices(a: CoorientedArrangement) -> set[Vec]:
 
 
 def vertices_adjacent(a: CoorientedArrangement, p: Vec, q: Vec) -> bool:
-    """Whether p and q bound a common 1-cell: the open segment (p, q) meets
-    no hyperplane except those containing both endpoints."""
-    verts = enumerate_vertices(a)
-    if p not in verts or q not in verts:
-        raise ValueError("vertices_adjacent expects vertices of the arrangement")
-    if p == q:
+    """Whether p and q bound a common 1-cell: the hyperplanes containing both
+    cut out the line through them (their normals have rank n - 1), and the
+    open segment (p, q) meets no other hyperplane."""
+    n = a.ambient_dim
+    values = [(w, dot(w, p) + b, dot(w, q) + b) for w, b in a.hyperplanes]
+    for end in (1, 2):
+        # a vertex is where hyperplanes of full normal rank meet
+        if rank(tuple(row[0] for row in values if row[end] == 0)) != n:
+            raise ValueError("vertices_adjacent expects vertices of the arrangement")
+    if p == q or any(vp * vq < 0 for _, vp, vq in values):
         return False
-    for w, b in a.hyperplanes:
-        vp = dot(w, p) + b
-        vq = dot(w, q) + b
-        if (vp > 0 > vq) or (vp < 0 < vq):
-            return False
-    return True
+    return rank(tuple(w for w, vp, vq in values if vp == 0 == vq)) == n - 1
 
 
 def face_of_positive_region(a: CoorientedArrangement, theta: RegionCode):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .complexes import build_complex, complex_to_json, skeleton, sign_key
 from .harness import ExperimentConfig, run_experiment
-from .linalg import rat
+from .linalg import DigitLimitError, rat
 from .network import load_network
 from .svg import render_svg
 from .topology import (
@@ -27,7 +27,7 @@ from .topology import (
     verify_johnson,
     verify_one_bounded,
 )
-from .transversality import analyze_network, constant_cell_values
+from .transversality import analyze_network
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -66,7 +66,7 @@ def _emit(data: dict, out: str | None):
 def auto_threshold(cpx) -> Fraction:
     """The smallest-denominator transversal rational within the range of F
     over the complex's vertices and constant cells."""
-    bad = constant_cell_values(cpx)
+    bad = cpx.constant_values
     values = {c.value(c.witness) for c in cpx.cells.values() if c.dim == 0} | bad
     if values:
         lo, hi = min(values), max(values)
@@ -124,11 +124,7 @@ def cmd_regions(args) -> int:
     net = _load_net(args.network)
     cpx = build_complex(net)
     t = _parse_threshold(args.threshold, cpx)
-    try:
-        topo = decision_topology(cpx, t)
-    except NonTransversalThresholdError as exc:
-        raise CliError(str(exc), EXIT_NON_TRANSVERSAL)
-    _emit(topo.to_json(), args.out)
+    _emit(decision_topology(cpx, t).to_json(), args.out)
     return EXIT_OK
 
 
@@ -142,11 +138,7 @@ def cmd_transversality(args) -> int:
 def _cmd_verify(args, verifier) -> int:
     net = _load_net(args.network)
     cpx = build_complex(net)
-    t = _parse_threshold(args.threshold, cpx)
-    try:
-        outcome = verifier(cpx, t)
-    except NonTransversalThresholdError as exc:
-        raise CliError(str(exc), EXIT_NON_TRANSVERSAL)
+    outcome = verifier(cpx, _parse_threshold(args.threshold, cpx))
     _emit(outcome.to_json(), args.out)
     if outcome.status == NOT_APPLICABLE:
         raise CliError(outcome.reason, EXIT_NOT_APPLICABLE)
@@ -205,11 +197,7 @@ def cmd_svg(args) -> int:
         if len(parts) != 4 or parts[0] >= parts[2] or parts[1] >= parts[3]:
             raise CliError("bbox must be x0,y0,x1,y1 with x0 < x1 and y0 < y1", EXIT_INPUT)
         bbox = tuple(parts)
-    try:
-        topo = decision_topology(cpx, t)
-    except NonTransversalThresholdError as exc:
-        raise CliError(str(exc), EXIT_NON_TRANSVERSAL)
-    Path(args.output).write_text(render_svg(topo, bbox))
+    Path(args.output).write_text(render_svg(decision_topology(cpx, t), bbox))
     return EXIT_OK
 
 
@@ -280,8 +268,13 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except CliError as exc:
-        print(f"relugeom: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = exc, exc.code
+    except NonTransversalThresholdError as exc:
+        message, code = exc, EXIT_NON_TRANSVERSAL
+    except DigitLimitError as exc:
+        message, code = exc, EXIT_INPUT
+    print(f"relugeom: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -111,6 +111,14 @@ def parse_sign_key(key: str) -> tuple[int, ...]:
     return tuple(table[ch] for ch in key)
 
 
+def cell_is_constant(cell: Cell) -> bool:
+    """Whether F is constant on the cell: the restriction's gradient is
+    orthogonal to the cell's affine hull, i.e. lies in the span of the
+    active equality normals."""
+    w, _ = cell.restriction.row(0)
+    return cell.eq_basis.contains(w)
+
+
 @dataclass
 class CanonicalComplex:
     ambient_dim: int
@@ -118,6 +126,9 @@ class CanonicalComplex:
     cells: dict[tuple[int, ...], Cell]
     network: ReluNetwork | None = None
     threshold: Fraction | None = None
+    # hidden nodes whose map is constant zero on a cell of the complex of the
+    # layers before them: exactly those for which 0 is not transversal
+    node_failures: frozenset[NodeRef] = frozenset()
 
     def sorted_cells(self) -> list[Cell]:
         return [self.cells[k] for k in sorted(self.cells)]
@@ -132,6 +143,20 @@ class CanonicalComplex:
         if not any(cell.dim == 0 for cell in self.cells.values()):
             return None
         return [(sign_mask(k), cell) for k, cell in self.cells.items() if cell.dim == 1]
+
+    @cached_property
+    def constant_values(self) -> frozenset[Fraction]:
+        """The values F takes on cells where it is constant: exactly the
+        thresholds at which transversality fails."""
+        require_restrictions(self)
+        return frozenset(c.value(c.witness) for c in self.cells.values() if cell_is_constant(c))
+
+
+def require_restrictions(cpx: CanonicalComplex) -> None:
+    """Raise ValueError unless every cell carries the restriction of F, which
+    a complex built through fewer than all hidden layers lacks."""
+    if any(cell.restriction is None for cell in cpx.cells.values()):
+        raise ValueError("the complex lacks the per-cell restriction of F")
 
 
 def sign_mask(sign: Sequence[int]) -> int:
@@ -151,12 +176,6 @@ def mask_in_closure(face: int, cell: int) -> bool:
     of the other into 0.  The node maps are continuous, so this is exactly
     the face relation of the complex, the cell itself included."""
     return face & ~cell == 0
-
-
-def is_face(face_sign: Sequence[int], cell_sign: Sequence[int]) -> bool:
-    """Whether the first sign vector names a proper face of the second:
-    obtained by turning some (at least one) +/- coordinates into 0."""
-    return face_sign != cell_sign and mask_in_closure(sign_mask(face_sign), sign_mask(cell_sign))
 
 
 def face_pairs(cpx: CanonicalComplex) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -226,19 +245,12 @@ def _children(cell: Cell, w: Vec, c: Fraction) -> list[Cell]:
     ]
 
 
-def build_complex(
-    net: ReluNetwork,
-    through_layers: int | None = None,
-    node_failures: set[NodeRef] | None = None,
-) -> CanonicalComplex:
+def build_complex(net: ReluNetwork, through_layers: int | None = None) -> CanonicalComplex:
     """Build the canonical polyhedral complex by iterated level-set
     subdivision, one hidden layer at a time.
 
     ``through_layers`` truncates the construction after that many hidden
     layers (the complex the next layer's node maps are measured against).
-    When ``node_failures`` is given, every hidden node whose map is constant
-    zero on some cell of the preceding complex is recorded there; those are
-    exactly the nodes for which 0 fails to be a transversal threshold.
     """
     n0 = net.input_dim
     m = net.hidden_count
@@ -248,6 +260,7 @@ def build_complex(
     root = Cell((), (), zeros(n0), n0, RowBasis(n0), AffineMap.identity(n0))
     cells: dict[tuple[int, ...], Cell] = {(): root}
     coords: list[CoordInfo] = []
+    failures: set[NodeRef] = set()
     for i in range(upto):
         layer = net.layers[i]
         width = layer.out_dim
@@ -256,11 +269,10 @@ def build_complex(
         nxt: dict[tuple[int, ...], Cell] = {}
         for cell in cells.values():
             pre = layer.compose(cell.prefix)
-            if node_failures is not None:
-                for j in range(width):
-                    w, c = pre.row(j)
-                    if cell.eq_basis.contains(w) and dot(w, cell.witness) + c == 0:
-                        node_failures.add(NodeRef(i, j))
+            for j in range(width):
+                w, c = pre.row(j)
+                if cell.eq_basis.contains(w) and dot(w, cell.witness) + c == 0:
+                    failures.add(NodeRef(i, j))
             pieces = [cell]
             for j in range(width):
                 w, c = pre.row(j)
@@ -270,7 +282,7 @@ def build_complex(
                 piece.prefix = pre.masked(bits)
                 nxt[piece.sign] = piece
         cells = nxt
-    cpx = CanonicalComplex(n0, tuple(coords), cells, net)
+    cpx = CanonicalComplex(n0, tuple(coords), cells, net, node_failures=frozenset(failures))
     if upto == m:
         out = net.output_layer
         for cell in cells.values():
@@ -278,13 +290,17 @@ def build_complex(
     return cpx
 
 
+def as_complex(source: CanonicalComplex | ReluNetwork) -> CanonicalComplex:
+    """The complex itself, or the canonical complex of a network."""
+    return source if isinstance(source, CanonicalComplex) else build_complex(source)
+
+
 def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
     """Subdivide every cell by the level set F = t, appending one sign
     coordinate for sign(F - t)."""
     if cpx.threshold is not None:
         raise ValueError("complex is already refined by a threshold")
-    if any(cell.restriction is None for cell in cpx.cells.values()):
-        raise ValueError("refinement needs the per-cell restriction of F")
+    require_restrictions(cpx)
     t = Fraction(t)
     refined: dict[tuple[int, ...], Cell] = {}
     for cell in cpx.cells.values():
@@ -293,7 +309,7 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
             child.restriction = cell.restriction
             refined[child.sign] = child
     coords = cpx.coords + (CoordInfo(LEVEL, -1, 0, False),)
-    return CanonicalComplex(cpx.ambient_dim, coords, refined, cpx.network, threshold=t)
+    return CanonicalComplex(cpx.ambient_dim, coords, refined, cpx.network, t, cpx.node_failures)
 
 
 # --- queries ----------------------------------------------------------------
@@ -425,37 +441,6 @@ def locate(cpx: CanonicalComplex, x: Sequence[Fraction]) -> Cell:
     if key not in cpx.cells:
         raise KeyError(f"no cell with sign {sign_key(key)}; complex does not cover x")
     return cpx.cells[key]
-
-
-def interior_points(cell: Cell, rng, count: int) -> list[Vec]:
-    """Random points of the cell's relative interior (the witness first)."""
-    n = len(cell.witness)
-    system, _ = cell.system(closed=True)
-    dirs = nullspace(tuple(w for w, _ in system.equalities), n)
-    points = [cell.witness]
-    attempts = 0
-    while len(points) < count and attempts < 50 * count:
-        attempts += 1
-        if not dirs:
-            points.append(cell.witness)
-            continue
-        d = zeros(n)
-        for basis_dir in dirs:
-            coeff = Fraction(rng.randint(-3, 3))
-            if coeff:
-                d = vadd(d, vscale(basis_dir, coeff))
-        if is_zero_vec(d):
-            continue
-        lo, hi = line_interval(system.inequalities, cell.witness, d)
-        frac = Fraction(rng.randint(-7, 7), 8)
-        if frac >= 0:
-            step = frac * (hi if hi is not None else Fraction(2))
-        else:
-            step = -frac * (lo if lo is not None else Fraction(-2))
-        points.append(vadd(cell.witness, vscale(d, step)))
-    while len(points) < count:
-        points.append(cell.witness)
-    return points[:count]
 
 
 def complex_to_json(cpx: CanonicalComplex) -> dict:

@@ -151,6 +151,17 @@ def _draw_threshold(cfg: ExperimentConfig, rng: random.Random) -> Fraction:
     return lo + (hi - lo) * Fraction(rng.randint(0, 64), 64)
 
 
+def _verdict(check: str, cpx, report, threshold: Fraction | None) -> tuple[str, dict | None]:
+    """A trial's verdict, and its bounded counts when a verifier ran."""
+    if check == "transversal":
+        return (PASS if report.generic and report.transversal else FAIL), None
+    if threshold is None:
+        return NO_THRESHOLD, None
+    verifier = verify_johnson if check == "johnson" else verify_one_bounded
+    outcome = verifier(cpx, threshold)
+    return outcome.status, outcome.bounded_counts
+
+
 def run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     start = time.perf_counter()
     rng = _trial_rng(cfg, index)
@@ -158,11 +169,8 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     cpx, report = analyze_network(net)
 
     threshold: Fraction | None = None
-    counts = None
-    if cfg.check == "transversal":
-        verdict = PASS if (report.generic and report.transversal) else FAIL
-    else:
-        bad = set(report.nontransversal_thresholds)
+    if cfg.check != "transversal":
+        bad = cpx.constant_values
         if cfg.threshold is not None:
             threshold = cfg.threshold if cfg.threshold not in bad else None
         else:
@@ -171,13 +179,7 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
                 if cand not in bad:
                     threshold = cand
                     break
-        if threshold is None:
-            verdict = NO_THRESHOLD
-        else:
-            verifier = verify_johnson if cfg.check == "johnson" else verify_one_bounded
-            outcome = verifier(cpx, threshold)
-            verdict = outcome.status
-            counts = outcome.bounded_counts
+    verdict, counts = _verdict(cfg.check, cpx, report, threshold)
     return TrialRecord(
         index=index,
         check=cfg.check,
@@ -257,10 +259,5 @@ def replay(record: dict) -> str:
     network; used to confirm counterexamples."""
     net = network_from_json(record["network"])
     cpx, report = analyze_network(net)
-    if record["check"] == "transversal":
-        return PASS if (report.generic and report.transversal) else FAIL
-    if record.get("threshold") is None:
-        return NO_THRESHOLD
-    t = rat(record["threshold"])
-    verifier = verify_johnson if record["check"] == "johnson" else verify_one_bounded
-    return verifier(cpx, t).status
+    t = record.get("threshold")
+    return _verdict(record["check"], cpx, report, None if t is None else rat(t))[0]

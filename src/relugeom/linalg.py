@@ -9,6 +9,7 @@ Fractions, matrices are tuples of row tuples.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -51,9 +52,19 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
+class DigitLimitError(ValueError):
+    """A rational too long to write under the interpreter's int-to-str limit."""
+
+
 def rat_str(q: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    return str(q)
+    try:
+        return str(q)
+    except ValueError as exc:
+        raise DigitLimitError(
+            f"cannot write a rational of more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's int-to-str limit"
+        ) from exc
 
 
 def vec(values: Iterable) -> Vec:

@@ -157,15 +157,12 @@ def classify_layers(net: ReluNetwork) -> NetworkClass:
     """Per-layer degeneracy (a zero weight row) and genericity (the layer's
     solution-set arrangement is generic); network flags are conjunctions over
     all layer maps, the output map included."""
-    from .arrangement import SolutionSetArrangement, is_generic  # avoids an import cycle
+    from .arrangement import is_generic, layer_arrangement  # avoids an import cycle
 
     classes = []
     for layer in net.layers:
         degenerate = any(is_zero_vec(row) for row in layer.weights)
-        arr = SolutionSetArrangement(
-            layer.in_dim, tuple(zip(layer.weights, layer.bias))
-        )
-        classes.append(LayerClass(degenerate, is_generic(arr)))
+        classes.append(LayerClass(degenerate, is_generic(layer_arrangement(layer))))
     return NetworkClass(
         tuple(classes),
         any(c.degenerate for c in classes),

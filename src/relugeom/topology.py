@@ -19,17 +19,19 @@ from .complexes import (
     RAY,
     SEGMENT,
     CanonicalComplex,
-    build_complex,
+    as_complex,
     cell_bounded,
+    cell_is_constant,
     edge_geometry,
     mask_in_closure,
     refine_by_threshold,
+    require_restrictions,
     sign_key,
     sign_mask,
 )
-from .linalg import Vec, rat_str, vadd
-from .network import ReluNetwork, evaluate, network_to_json
-from .transversality import cell_is_constant, nontransversal_thresholds
+from .linalg import Vec, dot, rat_str
+from .network import ReluNetwork, network_to_json
+from .transversality import nontransversal_thresholds
 
 YES = "yes"
 BOUNDARY = "boundary"
@@ -42,7 +44,7 @@ class NonTransversalThresholdError(ValueError):
     """Raised when a decision-region analysis is asked for a threshold at
     which some cell of the complex is constant."""
 
-    def __init__(self, t: Fraction, bad_values: set[Fraction]):
+    def __init__(self, t: Fraction, bad_values: frozenset[Fraction]):
         self.threshold = t
         below = [v for v in bad_values if v < t]
         above = [v for v in bad_values if v > t]
@@ -138,7 +140,7 @@ def _region_components(cpx: CanonicalComplex, keys: list[tuple[int, ...]]) -> li
 
 def decision_topology(source: CanonicalComplex | ReluNetwork, t: Fraction) -> DecisionTopology:
     """Components of Y, B, N at a transversal threshold, with boundedness."""
-    cpx = source if isinstance(source, CanonicalComplex) else build_complex(source)
+    cpx = as_complex(source)
     t = Fraction(t)
     bad = nontransversal_thresholds(cpx)
     if t in bad:
@@ -208,10 +210,10 @@ class OrientedSkeleton:
 
 
 def oriented_skeleton(source: CanonicalComplex | ReluNetwork) -> OrientedSkeleton:
-    """The 1-skeleton with each edge oriented toward increasing F, decided by
-    exact evaluation of the network at two distinct points of the edge."""
-    cpx = source if isinstance(source, CanonicalComplex) else build_complex(source)
-    net = cpx.network
+    """The 1-skeleton with each edge oriented toward increasing F: by the sign
+    of the slope of F's restriction along the edge, since F is affine on it."""
+    cpx = as_complex(source)
+    require_restrictions(cpx)
     vertices = {}
     by_point = {}
     for key, cell in cpx.cells.items():
@@ -223,10 +225,8 @@ def oriented_skeleton(source: CanonicalComplex | ReluNetwork) -> OrientedSkeleto
         if cell.dim != 1:
             continue
         kind, base, direction, end = edge_geometry(cell)
-        second = end if kind == SEGMENT else vadd(base, direction)
-        v0 = evaluate(net, base)
-        v1 = evaluate(net, second)
-        orientation = 1 if v1 > v0 else -1 if v1 < v0 else 0
+        slope = dot(cell.restriction.row(0)[0], direction)
+        orientation = 1 if slope > 0 else -1 if slope < 0 else 0
         edges[key] = SkeletonEdge(key, kind, base, direction, end, orientation)
     return OrientedSkeleton(vertices, edges, by_point)
 
@@ -383,7 +383,7 @@ def verify_johnson(source: CanonicalComplex | ReluNetwork, t: Fraction) -> Verif
     """Narrow networks have no bounded decision regions: with every hidden
     width at most the input dimension (n >= 2), each of Y, B, N at a
     transversal threshold must be empty or unbounded."""
-    cpx = source if isinstance(source, CanonicalComplex) else build_complex(source)
+    cpx = as_complex(source)
     net = cpx.network
     n0 = net.input_dim
     if n0 < 2:
@@ -407,7 +407,7 @@ def verify_johnson(source: CanonicalComplex | ReluNetwork, t: Fraction) -> Verif
 def verify_one_bounded(source: CanonicalComplex | ReluNetwork, t: Fraction) -> VerificationOutcome:
     """A single hidden layer of dimension n+1 allows at most one bounded
     component in each open decision region at a transversal threshold."""
-    cpx = source if isinstance(source, CanonicalComplex) else build_complex(source)
+    cpx = as_complex(source)
     net = cpx.network
     arch = net.architecture
     if len(arch) != 3 or arch[1] != arch[0] + 1:

@@ -14,32 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import CanonicalComplex, Cell, build_complex
+from .complexes import CanonicalComplex, as_complex, build_complex
 from .linalg import rat_str
 from .network import NetworkClass, NodeRef, ReluNetwork, classify_layers
 
 
-def cell_is_constant(cell: Cell) -> bool:
-    """Whether F is constant on the cell: the restriction's gradient is
-    orthogonal to the cell's affine hull, i.e. lies in the span of the
-    active equality normals."""
-    w, _ = cell.restriction.row(0)
-    return cell.eq_basis.contains(w)
-
-
-def constant_cell_values(cpx: CanonicalComplex) -> set[Fraction]:
-    values = set()
-    for cell in cpx.cells.values():
-        if cell_is_constant(cell):
-            values.add(cell.value(cell.witness))
-    return values
-
-
-def nontransversal_thresholds(source: CanonicalComplex | ReluNetwork) -> set[Fraction]:
+def nontransversal_thresholds(source: CanonicalComplex | ReluNetwork) -> frozenset[Fraction]:
     """The finite set of thresholds at which transversality fails: the values
     F takes on cells where it is constant."""
-    cpx = source if isinstance(source, CanonicalComplex) else build_complex(source)
-    return constant_cell_values(cpx)
+    return as_complex(source).constant_values
 
 
 def is_transversal_threshold(source: CanonicalComplex | ReluNetwork, t: Fraction) -> bool:
@@ -72,16 +55,15 @@ class TransversalityReport:
 
 
 def analyze_network(net: ReluNetwork) -> tuple[CanonicalComplex, TransversalityReport]:
-    """Build the canonical complex once, recording per-node transversality
-    failures along the way, and classify the network."""
-    failures: set[NodeRef] = set()
-    cpx = build_complex(net, node_failures=failures)
+    """Build the canonical complex once, with its per-node transversality
+    failures and constant-cell values, and classify the network."""
+    cpx = build_complex(net)
     classes = classify_layers(net)
     report = TransversalityReport(
         generic=classes.generic,
-        transversal=not failures,
-        node_failures=tuple(sorted(failures)),
-        nontransversal_thresholds=tuple(sorted(constant_cell_values(cpx))),
+        transversal=not cpx.node_failures,
+        node_failures=tuple(sorted(cpx.node_failures)),
+        nontransversal_thresholds=tuple(sorted(cpx.constant_values)),
         classes=classes,
     )
     return cpx, report

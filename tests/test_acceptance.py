@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from cellhelpers import interior_points, is_face
 from conftest import random_net, simplex_net
 from gridoracle import grid_region_counts
 from relugeom.arrangement import (
@@ -22,8 +23,6 @@ from relugeom.arrangement import (
 from relugeom.complexes import (
     bent_hyperplane_arrangement,
     build_complex,
-    interior_points,
-    is_face,
     skeleton,
 )
 from relugeom.harness import ExperimentConfig, replay, run_experiment

@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from conftest import net_of
 from relugeom.arrangement import (
     CoorientedArrangement,
     SolutionSetArrangement,
@@ -17,6 +19,7 @@ from relugeom.arrangement import (
     region_interior_point,
     vertices_adjacent,
 )
+from relugeom.complexes import build_complex, mask_in_closure, sign_mask
 from relugeom.linalg import dot, rank, solve_square, vec
 from relugeom.lp import LinearSystem, recession_cone_is_trivial
 
@@ -265,6 +268,39 @@ def test_nonadjacent_vertices_with_four_lines():
     )
     assert not vertices_adjacent(a, vec([0, 0]), vec([2, 0]))
     assert vertices_adjacent(a, vec([0, 0]), vec([1, 0]))
+
+
+def test_square_diagonal_is_not_adjacent():
+    # x = 0, x = 1, y = 0, y = 1: no line separates opposite corners of the
+    # unit square, yet no edge joins them
+    a = CoorientedArrangement.of(
+        2, [((1, 0), 0), ((1, 0), -1), ((0, 1), 0), ((0, 1), -1)]
+    )
+    assert not vertices_adjacent(a, vec([0, 0]), vec([1, 1]))
+    assert vertices_adjacent(a, vec([0, 0]), vec([1, 0]))
+
+
+def test_adjacency_matches_one_layer_complex():
+    """Two vertices are adjacent iff the closure of some 1-cell of the
+    arrangement's one-layer complex holds both of their sign vectors."""
+    rng = random.Random(83)
+    answers = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        a = random_arrangement(rng, n, rng.randint(1, 6), bound=2)
+        weights = [w for w, _ in a.hyperplanes]
+        bias = [b for _, b in a.hyperplanes]
+        cpx = build_complex(net_of((weights, bias), ([[1] * len(a)], [0])))
+        masks = {c.witness: sign_mask(k) for k, c in cpx.cells.items() if c.dim == 0}
+        edges = [sign_mask(k) for k, c in cpx.cells.items() if c.dim == 1]
+        assert set(masks) == enumerate_vertices(a)
+        for p, q in itertools.combinations(sorted(masks), 2):
+            expected = any(
+                mask_in_closure(masks[p], e) and mask_in_closure(masks[q], e) for e in edges
+            )
+            assert vertices_adjacent(a, p, q) == expected, (a, p, q)
+            answers[expected] += 1
+    assert answers[True] > 0 and answers[False] > 0
 
 
 def test_adjacency_requires_vertices():

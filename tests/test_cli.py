@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fig1_net, relu_of_x, simplex_net
+from conftest import fig1_net, net_of, relu_of_x, simplex_net
 from relugeom.cli import (
     EXIT_INPUT,
     EXIT_NON_TRANSVERSAL,
@@ -139,6 +139,26 @@ def test_regions_non_transversal_exit_3(capsys, relu_path):
     assert main(["regions", relu_path, "-t", "0"]) == EXIT_NON_TRANSVERSAL
     err = capsys.readouterr().err
     assert "not transversal" in err
+
+
+@pytest.mark.parametrize(
+    "command, net",
+    [
+        ("regions", relu_of_x()),
+        ("verify-johnson", net_of(([[1, 0]], [0]), ([[1]], [0]))),  # ReLU(x) on R^2
+        ("verify-bounded", simplex_net()),
+        ("svg", simplex_net()),
+    ],
+    ids=["regions", "verify-johnson", "verify-bounded", "svg"],
+)
+def test_non_transversal_threshold_exits_3(tmp_path, capsys, command, net):
+    path = write_net(tmp_path / "net.json", net)
+    extra = ["-o", str(tmp_path / "out.svg")] if command == "svg" else []
+    assert main([command, path, "-t", "0", *extra]) == EXIT_NON_TRANSVERSAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "threshold 0 is not transversal" in captured.err
+    assert not (tmp_path / "out.svg").exists()
 
 
 def test_regions_auto_threshold(capsys, simplex_path):
@@ -294,3 +314,23 @@ def test_experiment_empty_architecture_exits_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"architecture": [], "trials": 1, "seed": 1}))
     assert main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_INPUT
     assert "architecture must be" in capsys.readouterr().err
+
+
+# F = 10^2200 * ReLU(10^2200 x) + 0 * ReLU(x - 1): its restriction on x > 0
+# and its value at the vertex x = 1 both have 4401 digits
+HUGE_EXPORT_NET = {
+    "layers": [
+        {"W": [["1e2200"], ["1"]], "b": ["0", "-1"]},
+        {"W": [["1e2200", "0"]], "b": ["0"]},
+    ]
+}
+
+
+@pytest.mark.parametrize("command", ["complex", "transversality"])
+def test_oversized_export_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(HUGE_EXPORT_NET))
+    assert main([command, str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "int-to-str limit" in captured.err

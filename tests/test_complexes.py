@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cellhelpers import interior_points, is_face
 from conftest import fig1_net, net_of, orthant_caveat_net, random_net, relu_of_x, simplex_net
 from relugeom.complexes import (
     activation_regions,
@@ -11,8 +12,6 @@ from relugeom.complexes import (
     cell_bounded,
     complex_to_json,
     face_pairs,
-    interior_points,
-    is_face,
     locate,
     refine_by_threshold,
     skeleton,

@@ -117,6 +117,25 @@ def test_records_replay_to_same_verdict():
         assert replay(data) == record.verdict
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(check="transversal", bound=1, trials=12),
+        dict(check="johnson", architecture=(2, 2, 1), bound=1, trials=12, threshold=Fraction(0)),
+        dict(check="one_bounded", bound=1, trials=12, threshold=Fraction(0)),
+    ],
+    ids=["transversal", "johnson", "one_bounded"],
+)
+def test_replay_matches_every_check(kwargs):
+    # bound 1 draws many degenerate nets, so some fail transversality and
+    # some have no transversal threshold at 0
+    _, records = run_experiment(cfg_of(seed=31, **kwargs))
+    verdicts = {record.verdict for record in records}
+    for record in records:
+        assert replay(json.loads(json.dumps(record.to_json()))) == record.verdict
+    assert len(verdicts) > 1, verdicts
+
+
 def test_fixed_threshold_respected():
     cfg = cfg_of(threshold=Fraction(1, 3), trials=2, seed=2)
     for i in range(2):

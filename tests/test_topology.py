@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cellhelpers import is_face
 from conftest import (
     negated_abs_net,
     net_of,
@@ -11,7 +12,7 @@ from conftest import (
     simplex_net,
     tilted_bump_net,
 )
-from relugeom.complexes import build_complex, is_face
+from relugeom.complexes import build_complex
 from relugeom.linalg import dot, vec
 from relugeom.network import masked_affine
 from relugeom.topology import (

@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import net_of, orthant_caveat_net, random_net, relu_of_x
+from relugeom import complexes
 from relugeom.complexes import build_complex, refine_by_threshold
 from relugeom.network import NodeRef
+from relugeom.topology import decision_topology, oriented_skeleton
 from relugeom.transversality import (
     analyze_network,
     is_transversal_network,
@@ -107,3 +111,33 @@ def test_report_serialization():
     assert {"layer": 1, "unit": 0} in data["node_failures"]
     assert data["generic"] is True
     assert isinstance(data["nontransversal_thresholds"], list)
+
+
+def test_complex_records_node_failures():
+    cpx = build_complex(orthant_caveat_net())
+    assert cpx.node_failures == {NodeRef(1, 0)}
+    assert refine_by_threshold(cpx, Fraction(1, 3)).node_failures == cpx.node_failures
+    assert build_complex(relu_of_x()).node_failures == frozenset()
+    # the complex of the first layer alone cannot see the second layer fail
+    assert build_complex(orthant_caveat_net(), through_layers=1).node_failures == frozenset()
+
+
+def test_constant_cells_scanned_once_per_verdict(monkeypatch):
+    calls = []
+    real = complexes.cell_is_constant
+    monkeypatch.setattr(complexes, "cell_is_constant", lambda cell: calls.append(cell) or real(cell))
+    cpx, report = analyze_network(random_net(random.Random(204), (2, 3, 1)))
+    t = max(report.nontransversal_thresholds, default=Fraction(0)) + 1
+    decision_topology(cpx, t)
+    assert nontransversal_thresholds(cpx) is cpx.constant_values
+    assert len(calls) == len(cpx.cells)
+
+
+def test_truncated_complex_lacks_constant_values_and_slopes():
+    cpx = build_complex(orthant_caveat_net(), through_layers=1)
+    with pytest.raises(ValueError, match="restriction of F"):
+        cpx.constant_values
+    with pytest.raises(ValueError, match="restriction of F"):
+        oriented_skeleton(cpx)
+    with pytest.raises(ValueError, match="restriction of F"):
+        refine_by_threshold(cpx, Fraction(1))
