@@ -74,15 +74,36 @@ def auto_threshold(cpx) -> Fraction:
         lo, hi = Fraction(0), Fraction(1)
     if lo == hi:
         lo, hi = lo - 1, hi + 1
-    q = 1
+    return threshold_between(lo, hi, bad)
+
+
+def threshold_between(lo: Fraction, hi: Fraction, bad) -> Fraction:
+    """The least p/q in [lo, hi] outside the finite set ``bad``, with q least
+    first: q from the simplest rational of each piece of [lo, hi] between
+    bad values, so a narrow range costs no search over denominators."""
+    cuts = sorted({lo, hi} | {v for v in bad if lo < v < hi})
+    q = min(
+        _simplest(a, b, a == lo and a not in bad, b == hi and b not in bad).denominator
+        for a, b in zip(cuts, cuts[1:])
+    )
+    p = -(-lo.numerator * q // lo.denominator)  # ceil(lo * q)
+    while Fraction(p, q) in bad:
+        p += 1
+    return Fraction(p, q)
+
+
+def _simplest(lo: Fraction, hi: Fraction | None, lo_in: bool, hi_in: bool) -> Fraction:
+    """The rational of least denominator between lo < hi (None: no upper
+    end), each end included or not, by continued fractions: x = n + 1/y
+    while no integer lies between, with x = (P·y + Q) / (R·y + S)."""
+    P, Q, R, S = 1, 0, 0, 1
     while True:
-        p = -(-lo.numerator * q // lo.denominator)  # ceil(lo * q)
-        while Fraction(p, q) <= hi:
-            t = Fraction(p, q)
-            if t not in bad:
-                return t
-            p += 1
-        q += 1
+        n = lo.numerator // lo.denominator
+        m = n if lo_in and n == lo else n + 1  # the least integer from lo on
+        if hi is None or m < hi or (m == hi and hi_in):
+            return Fraction(P * m + Q, R * m + S)
+        lo, hi, lo_in, hi_in = 1 / (hi - n), None if lo == n else 1 / (lo - n), hi_in, lo_in
+        P, Q, R, S = P * n + Q, P, R * n + S, R
 
 
 def _parse_threshold(value: str, cpx) -> Fraction:
@@ -155,6 +176,8 @@ def cmd_experiment(args) -> int:
             raise CliError(f"no such file: {args.config}", EXIT_INPUT)
         except json.JSONDecodeError as exc:
             raise CliError(f"{args.config}: {exc}", EXIT_INPUT)
+        if not isinstance(data, dict):
+            raise CliError(f"{args.config}: an experiment config must be a JSON object", EXIT_INPUT)
     if args.arch:
         try:
             data["architecture"] = [int(v) for v in args.arch.split(",")]

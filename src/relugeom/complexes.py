@@ -8,9 +8,13 @@ the node-map affine forms composed through the cell's own masked prefix;
 network is affine on every cell, and the stored restriction realizes that
 affine map exactly.
 
-Layers are processed in order and cells split node by node, pruning
-infeasible sign extensions eagerly with exact LP; each cell carries a
-strictly-feasible rational witness point, so most splits cost a single LP.
+Layers are processed in order, and inside a layer node by node: each pass
+splits every cell of the complete complex by its node map.  Each cell
+carries a rational witness point of its relative interior, and a pass finds
+the witnesses of a cell's new sides in the face lattice of the complex it
+cuts, with no LP: every closed cell has the same lineality space L (node
+maps factor through the first layer's affine map), so it is the convex hull
+of its minimal faces plus the cone of its rays plus L.
 """
 
 from __future__ import annotations
@@ -22,21 +26,21 @@ from typing import Iterable, Sequence
 
 from .affine import AffineMap
 from .linalg import (
+    LinearSystem,
+    Row,
     RowBasis,
     Vec,
     dot,
     is_zero_vec,
     nullspace,
     rat_str,
+    unit,
     vadd,
     vscale,
     vsub,
     zeros,
 )
-from .lp import LinearSystem, feasible_point
 from .network import NodeRef, ReluNetwork
-
-Row = tuple[Vec, Fraction]
 
 NODE = "node"
 LEVEL = "level"
@@ -201,11 +205,53 @@ def _extend(cell: Cell, w: Vec, c: Fraction, s: int, witness: Vec, add_eq: bool 
     return Cell(cell.sign + (s,), cell.rows + ((w, c),), witness, dim, basis, cell.prefix)
 
 
-def _side_witness(cell: Cell, w: Vec, c: Fraction, side: int) -> Vec | None:
-    system, strict = cell.system()
-    row = (w, c) if side > 0 else (tuple(-x for x in w), -c)
-    extended = LinearSystem(system.dim, system.inequalities + (row,), system.equalities)
-    return feasible_point(extended, strict + (len(system.inequalities),))
+class _Faces:
+    """The faces that every closed cell of a complete complex is built from,
+    when all cells share the lineality space L: the closure of a cell is
+    conv(minimal faces) + cone(rays) + L, where the minimal faces are the
+    cells of dimension dim L and the rays the unbounded (dim L + 1)-cells,
+    and the face relation says which lie in which closure."""
+
+    def __init__(self, cells: Sequence[Cell], lineality: Sequence[Vec]):
+        self.cells = cells
+        self.lineality = lineality
+        self.minimal = [(sign_mask(c.sign), c.witness) for c in cells if c.dim == len(lineality)]
+
+    @cached_property
+    def rays(self) -> list[tuple[int, Vec]]:
+        """(sign mask, direction) of each (dim L + 1)-cell with a single
+        minimal face u in its closure, pointing from u to its witness."""
+        out = []
+        for cell in self.cells:
+            if cell.dim == len(self.lineality) + 1:
+                mask = sign_mask(cell.sign)
+                ends = [u for m, u in self.minimal if mask_in_closure(m, mask)]
+                if len(ends) == 1:
+                    out.append((mask, vsub(cell.witness, ends[0])))
+        return out
+
+    def side_witness(self, cell: Cell, w: Vec, c: Fraction, v: Fraction, side: int) -> Vec | None:
+        """A point x of the cell with side·(w·x + c) > 0, or None when there
+        is none, given v = w·p + c at the cell's witness p, side·v <= 0."""
+        p = cell.witness
+        for line in self.lineality:
+            a = dot(w, line)
+            if a:  # the form moves along L, which every cell contains
+                return vadd(p, vscale(line, (side - v) / a))
+        mask = sign_mask(cell.sign)
+        for m, u in self.minimal:
+            if mask_in_closure(m, mask):
+                val = dot(w, u) + c
+                if side * val > 0:
+                    # [p, u) lies in the cell; this point has value val / 2
+                    lam = (1 + v / (v - val)) / 2
+                    return vadd(p, vscale(vsub(u, p), lam))
+        for m, d in self.rays:
+            if mask_in_closure(m, mask):
+                a = dot(w, d)
+                if side * a > 0:  # this point has value w·d
+                    return vadd(p, vscale(d, 1 - v / a))
+        return None
 
 
 def _cut_point(p: Vec, q: Vec, w: Vec, c: Fraction) -> Vec:
@@ -215,8 +261,9 @@ def _cut_point(p: Vec, q: Vec, w: Vec, c: Fraction) -> Vec:
     return tuple(a + lam * (b - a) for a, b in zip(p, q))
 
 
-def _children(cell: Cell, w: Vec, c: Fraction) -> list[Cell]:
-    """Split a cell by the sign of the affine form w·x + c."""
+def _children(cell: Cell, w: Vec, c: Fraction, faces: _Faces) -> list[Cell]:
+    """Split a cell of the complex that ``faces`` describes by the sign of
+    the affine form w·x + c."""
     if cell.eq_basis.contains(w):
         # constant on the cell's affine hull: a fixed sign, no split
         v = dot(w, cell.witness) + c
@@ -225,8 +272,8 @@ def _children(cell: Cell, w: Vec, c: Fraction) -> list[Cell]:
     v = dot(w, cell.witness) + c
     if v == 0:
         # nonconstant and vanishing at a relative-interior point: cuts the cell
-        plus = _side_witness(cell, w, c, +1)
-        minus = _side_witness(cell, w, c, -1)
+        plus = faces.side_witness(cell, w, c, v, +1)
+        minus = faces.side_witness(cell, w, c, v, -1)
         assert plus is not None and minus is not None
         return [
             _extend(cell, w, c, 1, plus),
@@ -234,7 +281,7 @@ def _children(cell: Cell, w: Vec, c: Fraction) -> list[Cell]:
             _extend(cell, w, c, 0, cell.witness, add_eq=True),
         ]
     s = 1 if v > 0 else -1
-    other = _side_witness(cell, w, c, -s)
+    other = faces.side_witness(cell, w, c, v, -s)
     if other is None:
         return [_extend(cell, w, c, s, cell.witness)]
     mid = _cut_point(cell.witness, other, w, c)
@@ -245,9 +292,19 @@ def _children(cell: Cell, w: Vec, c: Fraction) -> list[Cell]:
     ]
 
 
+def _orthogonal_part(basis: list[Vec], w: Vec) -> list[Vec]:
+    """A basis of the vectors of span(basis) orthogonal to w."""
+    for k, line in enumerate(basis):
+        a = dot(w, line)
+        if a:
+            return [vsub(m, vscale(line, dot(w, m) / a)) for m in basis[:k] + basis[k + 1 :]]
+    return basis
+
+
 def build_complex(net: ReluNetwork, through_layers: int | None = None) -> CanonicalComplex:
     """Build the canonical polyhedral complex by iterated level-set
-    subdivision, one hidden layer at a time.
+    subdivision, one hidden layer at a time and, inside a layer, one node
+    at a time over the whole complex.
 
     ``through_layers`` truncates the construction after that many hidden
     layers (the complex the next layer's node maps are measured against).
@@ -261,27 +318,37 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
     cells: dict[tuple[int, ...], Cell] = {(): root}
     coords: list[CoordInfo] = []
     failures: set[NodeRef] = set()
+    # the nullspace of the first-layer rows cut so far: the lineality space
+    # of every closed cell, since every node map factors through layer 1
+    lineality = [unit(n0, k) for k in range(n0)]
     for i in range(upto):
         layer = net.layers[i]
         width = layer.out_dim
         for j in range(width):
             coords.append(CoordInfo(NODE, i, j, bha=not is_zero_vec(layer.weights[j])))
-        nxt: dict[tuple[int, ...], Cell] = {}
+        # each piece with the pre-activation map of its previous-layer cell
+        pieces: list[tuple[Cell, AffineMap]] = []
         for cell in cells.values():
             pre = layer.compose(cell.prefix)
             for j in range(width):
                 w, c = pre.row(j)
                 if cell.eq_basis.contains(w) and dot(w, cell.witness) + c == 0:
                     failures.add(NodeRef(i, j))
-            pieces = [cell]
-            for j in range(width):
-                w, c = pre.row(j)
-                pieces = [child for piece in pieces for child in _children(piece, w, c)]
-            for piece in pieces:
-                bits = tuple(1 if s > 0 else 0 for s in piece.sign[-width:])
-                piece.prefix = pre.masked(bits)
-                nxt[piece.sign] = piece
-        cells = nxt
+            pieces.append((cell, pre))
+        for j in range(width):
+            faces = _Faces([piece for piece, _ in pieces], lineality)
+            pieces = [
+                (child, pre)
+                for piece, pre in pieces
+                for child in _children(piece, *pre.row(j), faces)
+            ]
+            if i == 0:
+                lineality = _orthogonal_part(lineality, layer.weights[j])
+        cells = {}
+        for piece, pre in pieces:
+            bits = tuple(1 if s > 0 else 0 for s in piece.sign[-width:])
+            piece.prefix = pre.masked(bits)
+            cells[piece.sign] = piece
     cpx = CanonicalComplex(n0, tuple(coords), cells, net, node_failures=frozenset(failures))
     if upto == m:
         out = net.output_layer
@@ -302,10 +369,12 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
         raise ValueError("complex is already refined by a threshold")
     require_restrictions(cpx)
     t = Fraction(t)
+    lineality = nullspace(cpx.network.layers[0].weights, cpx.ambient_dim)
+    faces = _Faces(list(cpx.cells.values()), lineality)
     refined: dict[tuple[int, ...], Cell] = {}
     for cell in cpx.cells.values():
         w, c = cell.restriction.row(0)
-        for child in _children(cell, w, c - t):
+        for child in _children(cell, w, c - t, faces):
             child.restriction = cell.restriction
             refined[child.sign] = child
     coords = cpx.coords + (CoordInfo(LEVEL, -1, 0, False),)

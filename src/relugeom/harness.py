@@ -46,10 +46,14 @@ class ExperimentConfig:
     threshold_retries: int = 32
 
     def __post_init__(self):
+        for name in ("trials", "seed", "bound", "dyadic_exp", "threshold_retries"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.bound < 0:
-            raise ValueError("bound must be nonnegative")
+        for name in ("bound", "dyadic_exp", "threshold_retries"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.check not in CHECKS:
             raise ValueError(f"unknown check {self.check!r}")
         if self.distribution not in DISTRIBUTIONS:

@@ -1,4 +1,5 @@
-"""Exact rational vectors, matrices, and Gaussian elimination.
+"""Exact rational vectors, matrices, Gaussian elimination, and linear
+systems of affine constraints.
 
 All geometric computation in this package is exact: it runs over
 ``fractions.Fraction``, and the simplex in ``lp`` over scaled integers; there
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -226,6 +228,34 @@ def affine_solution(
             d[c] = -aug[r][free]
         null.append(tuple(d))
     return tuple(point), null
+
+
+Row = tuple[Vec, Fraction]
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """Affine constraints on R^dim: each inequality row (w, c) asserts
+    w·x + c >= 0, each equality row w·x + c == 0."""
+
+    dim: int
+    inequalities: tuple[Row, ...] = ()
+    equalities: tuple[Row, ...] = ()
+
+    def __post_init__(self):
+        for w, _ in self.inequalities + self.equalities:
+            if len(w) != self.dim:
+                raise ValueError(
+                    f"dimension mismatch: row has {len(w)} coefficients in R^{self.dim}"
+                )
+
+    @staticmethod
+    def of(dim: int, inequalities: Iterable = (), equalities: Iterable = ()) -> "LinearSystem":
+        return LinearSystem(
+            dim,
+            tuple((vec(w), Fraction(c)) for w, c in inequalities),
+            tuple((vec(w), Fraction(c)) for w, c in equalities),
+        )
 
 
 def solve_square(m: Mat, rhs: Vec) -> Vec | None:

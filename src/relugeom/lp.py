@@ -36,32 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import ONE, ZERO, Vec, dot, is_zero_vec, unit, vec
-
-Row = tuple[Vec, Fraction]
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    dim: int
-    inequalities: tuple[Row, ...] = ()
-    equalities: tuple[Row, ...] = ()
-
-    def __post_init__(self):
-        for w, _ in self.inequalities + self.equalities:
-            if len(w) != self.dim:
-                raise ValueError(
-                    f"dimension mismatch: row has {len(w)} coefficients in R^{self.dim}"
-                )
-
-    @staticmethod
-    def of(dim: int, inequalities: Iterable = (), equalities: Iterable = ()) -> "LinearSystem":
-        return LinearSystem(
-            dim,
-            tuple((vec(w), Fraction(c)) for w, c in inequalities),
-            tuple((vec(w), Fraction(c)) for w, c in equalities),
-        )
-
+from .linalg import ONE, ZERO, LinearSystem, Row, Vec, dot, is_zero_vec, unit
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +16,7 @@ from relugeom.cli import (
     EXIT_OK,
     auto_threshold,
     main,
+    threshold_between,
 )
 from relugeom.complexes import build_complex
 from relugeom.network import network_to_json
@@ -175,6 +177,51 @@ def test_auto_threshold_smallest_denominator():
     assert auto_threshold(cpx) == Fraction(1, 2)
 
 
+def searched_threshold(lo, hi, bad):
+    """The least transversal rational by trying every denominator in turn."""
+    q = 1
+    while True:
+        p = -(-lo.numerator * q // lo.denominator)
+        while Fraction(p, q) <= hi:
+            if Fraction(p, q) not in bad:
+                return Fraction(p, q)
+            p += 1
+        q += 1
+
+
+def test_threshold_between_matches_search():
+    rng = random.Random(8)
+    for _ in range(3000):
+        a, b = (Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2))
+        if a == b:
+            continue
+        lo, hi = min(a, b), max(a, b)
+        near = [lo, hi, searched_threshold(lo, hi, set())]
+        near += [Fraction(rng.randint(-60, 60), rng.randint(1, 8)) for _ in range(6)]
+        bad = {v for v in near if rng.random() < 0.6}
+        assert threshold_between(lo, hi, bad) == searched_threshold(lo, hi, bad), (lo, hi, bad)
+
+
+def test_auto_threshold_in_a_narrow_range_is_prompt(tmp_path):
+    # F = 10^-4300 (ReLU(x) + ReLU(x - 1)) ranges over [0, 10^-4300] on its
+    # vertices, and 0 is not transversal: the threshold's denominator has
+    # 4301 digits, too many to write, which a search over denominators
+    # would never reach.
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps({"layers": [
+        {"W": [["1"], ["1"]], "b": ["0", "-1"]},
+        {"W": [["1e-4300", "1e-4300"]], "b": ["0"]},
+    ]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "relugeom.cli", "regions", str(path), "-t", "auto"],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "int-to-str limit" in proc.stderr
+
+
 def test_regions_empty_yes_is_fine(capsys, tmp_path):
     from conftest import negated_abs_net
 
@@ -307,6 +354,30 @@ def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
     bad.write_text(json.dumps(data))
     assert main(["complex", str(bad)]) == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"distribution": "dyadic", "dyadic_exp": "3"}, "dyadic_exp must be an integer"),
+        ({"threshold_retries": "4"}, "threshold_retries must be an integer"),
+        ({"distribution": "dyadic", "dyadic_exp": -2}, "dyadic_exp must be nonnegative"),
+    ],
+    ids=["string-dyadic-exp", "string-threshold-retries", "negative-dyadic-exp"],
+)
+def test_experiment_bad_field_exits_2(tmp_path, capsys, fields, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"architecture": [2, 3, 1], "trials": 1, "seed": 1, **fields}))
+    assert main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+def test_experiment_config_not_an_object_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    argv = ["experiment", str(cfg_path), "--arch", "2,3,1", "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_INPUT
+    assert "must be a JSON object" in capsys.readouterr().err
 
 
 def test_experiment_empty_architecture_exits_2(tmp_path, capsys):

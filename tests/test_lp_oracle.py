@@ -141,8 +141,10 @@ def test_unbounded_and_infeasible_agree():
 def trial_lps(monkeypatch):
     """Record the LP calls that the first seeded (3,3,1,1) Johnson trials
     make, plus those of the LP boundedness oracle on every cell of each
-    trial's refined complex (the trials themselves decide boundedness
-    without LP, so only the oracle calls lp_optimize)."""
+    trial's refined complex, plus the strict system of every such cell.
+    The trials themselves make no LP: they build, refine and decide
+    boundedness from the face lattice.  The strict cell systems keep
+    trial-shaped strict-feasibility LPs under test."""
     calls = []
     refined = []
     refine = topology.refine_by_threshold
@@ -175,6 +177,8 @@ def trial_lps(monkeypatch):
     for cpx in refined:
         for cell in cpx.sorted_cells():
             lp.recession_cone_is_trivial(cell.system(closed=True)[0])
+            system, strict = cell.system()
+            calls.append((system, strict, None, False))
     monkeypatch.undo()
     return calls
 

@@ -1,0 +1,130 @@
+"""Differential test: the LP-free split against the per-cell LP oracle.
+
+``complexes`` finds a point on each side of a cut from the face lattice of
+the complex it cuts; ``complex_oracle`` asks an exact LP per side.  Both must
+give the same complex, byte for byte, and the new split must make no LP.
+"""
+
+import json
+import random
+import sys
+from collections import Counter
+
+import pytest
+
+import complex_oracle
+from conftest import random_net
+from relugeom import complexes, lp
+from relugeom.cli import auto_threshold
+from relugeom.complexes import complex_to_json, mask_in_closure, sign_mask
+from relugeom.linalg import dot
+
+ARCHITECTURES = [
+    (1, 3, 1), (2, 3, 1), (2, 4, 1), (2, 2, 2, 1), (3, 3, 1, 1), (2, 1, 1),
+    (3, 4, 1), (2, 3, 3, 1), (3, 2, 2, 1), (1, 2, 2, 1), (4, 3, 1), (3, 1, 2, 1),
+]
+NETS = 240  # 20 per architecture, half with entries in [-2, 2], half in [-4, 4]
+
+
+def sample_nets():
+    rng = random.Random(2027)
+    for k in range(NETS):
+        bound = 2 if (k // len(ARCHITECTURES)) % 2 else 4
+        yield random_net(rng, ARCHITECTURES[k % len(ARCHITECTURES)], -bound, bound)
+
+
+def split_case(faces, cell, w, c, side) -> int:
+    """Which of the four cases decides a side: 1 the form moves along the
+    lineality space, 2 a minimal face of the closure lies on that side, 3 a
+    ray of the closure points into it, 4 the side misses the cell."""
+    if any(dot(w, line) for line in faces.lineality):
+        return 1
+    mask = sign_mask(cell.sign)
+    if any(mask_in_closure(m, mask) and side * (dot(w, u) + c) > 0 for m, u in faces.minimal):
+        return 2
+    if any(mask_in_closure(m, mask) and side * dot(w, d) > 0 for m, d in faces.rays):
+        return 3
+    return 4
+
+
+def spy_on_lp(mp, calls):
+    """Record every call of the LP entry points, under every name a loaded
+    relugeom module binds them to."""
+    for name in ("feasible_point", "lp_optimize"):
+        original = getattr(lp, name)
+
+        def spy(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "relugeom":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        mp.setattr(module, attr, spy)
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """Per net: the LP-free complex and its refinement at the auto
+    threshold, then the oracle's; plus the split cases hit and the LP calls
+    the LP-free construction made."""
+    cases = Counter()
+    lp_calls = []
+    new_lps = 0
+    split = complexes._Faces.side_witness
+
+    def spy_split(faces, cell, w, c, v, side):
+        point = split(faces, cell, w, c, v, side)
+        case = split_case(faces, cell, w, c, side)
+        assert (point is None) == (case == 4)
+        cases[case] += 1
+        if not any(other.dim == 0 for other in faces.cells):
+            cases[case, "no vertex"] += 1
+        return point
+
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes._Faces, "side_witness", spy_split)
+        spy_on_lp(mp, lp_calls)
+        for net in sample_nets():
+            before = len(lp_calls)
+            cpx = complexes.build_complex(net)
+            t = auto_threshold(cpx)
+            refined = complexes.refine_by_threshold(cpx, t)
+            new_lps += len(lp_calls) - before
+            expected = complex_oracle.build_complex(net)
+            out.append((cpx, refined, expected, complex_oracle.refine_by_threshold(expected, t)))
+    return out, cases, new_lps, len(lp_calls)
+
+
+def dump(cpx) -> str:
+    return json.dumps(complex_to_json(cpx), sort_keys=True)
+
+
+def test_complexes_match_the_oracle(runs):
+    pairs, _, _, _ = runs
+    for cpx, refined, expected, expected_refined in pairs:
+        assert dump(cpx) == dump(expected)
+        assert dump(refined) == dump(expected_refined)
+        assert cpx.node_failures == expected.node_failures
+
+
+def test_witnesses_lie_in_their_cells(runs):
+    pairs, _, _, _ = runs
+    for cpx, refined, _, _ in pairs:
+        for cell in list(cpx.cells.values()) + list(refined.cells.values()):
+            assert cell.contains(cell.witness)
+
+
+def test_every_split_case_is_hit(runs):
+    _, cases, _, _ = runs
+    assert all(cases[case] >= 100 for case in (1, 2, 3, 4)), cases
+    assert cases[2, "no vertex"] >= 100 and cases[3, "no vertex"] >= 100, cases
+    assert cases[1, "no vertex"] == cases[1], cases  # a moving form means L != 0
+
+
+def test_construction_makes_no_lp(runs):
+    _, _, new_lps, all_lps = runs
+    assert new_lps == 0
+    assert all_lps > 1000  # the spy sees the oracle's LPs
