@@ -20,7 +20,9 @@ from .linalg import (
     Vec,
     affine_solution,
     dot,
+    homogeneous,
     is_zero_vec,
+    primitive_form,
     rank,
     vec,
 )
@@ -237,10 +239,11 @@ def face_of_positive_region(a: CoorientedArrangement, theta: RegionCode):
     for (w, _), bit in zip(a.hyperplanes, theta):
         if not bit:
             basis.add(w)
+    forms = [primitive_form(w, b) for w, b in a.hyperplanes]
     return Cell(
         sign=sign,
-        rows=a.hyperplanes,
-        witness=witness,
+        rows=tuple((f[:-1], f[-1]) for f in forms),
+        point=homogeneous(witness),
         dim=n - basis.rank,
         eq_basis=basis,
     )

@@ -2,8 +2,8 @@
 
 Subcommands: complex, skeleton, regions, transversality, verify-johnson,
 verify-bounded, experiment, svg.  Results are JSON on stdout, or written to
---out.  Exit codes: 0 success, 2 input error, 3 non-transversal threshold,
-4 not-applicable architecture.
+--out.  Exit codes: 0 success, 2 input error (an unwritable output path
+included), 3 non-transversal threshold, 4 not-applicable architecture.
 """
 
 from __future__ import annotations
@@ -55,10 +55,21 @@ def _load_net(path: str):
         raise CliError(f"{path}: {exc}", EXIT_INPUT)
 
 
+def _unwritable(path, exc: OSError) -> CliError:
+    return CliError(f"cannot write {exc.filename or path}: {exc.strerror or exc}", EXIT_INPUT)
+
+
+def _write(path, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _unwritable(path, exc)
+
+
 def _emit(data: dict, out: str | None):
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -192,13 +203,14 @@ def cmd_experiment(args) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid experiment config: {exc}", EXIT_INPUT)
     out_dir = Path(args.out or os.environ.get("RELUGEOM_OUT", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records_path = out_dir / "records.jsonl"
-    summary, _ = run_experiment(cfg, records_path)
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary.to_json(), indent=2, sort_keys=True) + "\n"
-    )
-    sys.stdout.write(json.dumps(summary.to_json(), indent=2, sort_keys=True) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        summary, _ = run_experiment(cfg, out_dir / "records.jsonl")
+    except OSError as exc:
+        raise _unwritable(out_dir, exc)
+    text = json.dumps(summary.to_json(), indent=2, sort_keys=True) + "\n"
+    _write(out_dir / "summary.json", text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -220,7 +232,7 @@ def cmd_svg(args) -> int:
         if len(parts) != 4 or parts[0] >= parts[2] or parts[1] >= parts[3]:
             raise CliError("bbox must be x0,y0,x1,y1 with x0 < x1 and y0 < y1", EXIT_INPUT)
         bbox = tuple(parts)
-    Path(args.output).write_text(render_svg(decision_topology(cpx, t), bbox))
+    _write(args.output, render_svg(decision_topology(cpx, t), bbox))
     return EXIT_OK
 
 

@@ -10,11 +10,17 @@ affine map exactly.
 
 Layers are processed in order, and inside a layer node by node: each pass
 splits every cell of the complete complex by its node map.  Each cell
-carries a rational witness point of its relative interior, and a pass finds
-the witnesses of a cell's new sides in the face lattice of the complex it
-cuts, with no LP: every closed cell has the same lineality space L (node
-maps factor through the first layer's affine map), so it is the convex hull
-of its minimal faces plus the cone of its rays plus L.
+carries a witness point of its relative interior, and a pass finds the
+witnesses of a cell's new sides in the face lattice of the complex it cuts,
+with no LP: every closed cell has the same lineality space L (node maps
+factor through the first layer's affine map), so it is the convex hull of
+its minimal faces plus the cone of its rays plus L.
+
+The split needs only signs, so it runs over Python ints.  A form w·x + c
+is kept as the primitive integer vector f = (w', c'), a positive multiple
+of (w, c); a point x as (X, d) with x = X/d, d > 0, gcd 1; a direction as
+(D, 0).  Then f·(X, d) has the sign of the form at x, and every new witness
+is a nonnegative integer combination of two known points or directions.
 """
 
 from __future__ import annotations
@@ -22,23 +28,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .affine import AffineMap
 from .linalg import (
+    IVec,
     LinearSystem,
     Row,
     RowBasis,
     Vec,
     dot,
+    idot,
     is_zero_vec,
     nullspace,
+    primitive_form,
     rat_str,
-    unit,
     vadd,
     vscale,
     vsub,
-    zeros,
 )
 from .network import NodeRef, ReluNetwork
 
@@ -61,18 +69,24 @@ class Cell:
     """One cell: the set where every tracked affine form has its stored sign."""
 
     sign: tuple[int, ...]
-    rows: tuple[Row, ...]
-    witness: Vec  # a point of the relative interior
+    rows: tuple[Row, ...]  # each (w, c) a primitive integer form
+    point: IVec  # the witness, a point of the relative interior, as (X, d)
     dim: int
     eq_basis: RowBasis
     prefix: AffineMap | None = None  # masked composite of the processed layers
     restriction: AffineMap | None = None  # F as an affine map on this cell
     bounded: bool | None = None  # filled lazily
 
+    @cached_property
+    def witness(self) -> Vec:
+        """The witness point X/d."""
+        d = self.point[-1]
+        return tuple(Fraction(x, d) for x in self.point[:-1])
+
     def system(self, closed: bool = False) -> tuple[LinearSystem, tuple[int, ...]]:
         """The cell as a LinearSystem plus the strict inequality indices
         (empty when closed=True, giving the cell's closure)."""
-        n = len(self.witness)
+        n = len(self.point) - 1
         ineqs: list[Row] = []
         eqs: list[Row] = []
         for (w, c), s in zip(self.rows, self.sign):
@@ -141,10 +155,15 @@ class CanonicalComplex:
         return [c for c in self.sorted_cells() if c.dim == k]
 
     @cached_property
+    def vertex_masks(self) -> list[int]:
+        """The sign mask of every 0-cell."""
+        return [sign_mask(k) for k, cell in self.cells.items() if cell.dim == 0]
+
+    @cached_property
     def edge_masks(self) -> list[tuple[int, Cell]] | None:
         """(sign mask, cell) of every 1-cell; None without a vertex, when
         no cell is pointed and so every cell is unbounded."""
-        if not any(cell.dim == 0 for cell in self.cells.values()):
+        if not self.vertex_masks:
             return None
         return [(sign_mask(k), cell) for k, cell in self.cells.items() if cell.dim == 1]
 
@@ -195,14 +214,22 @@ def face_pairs(cpx: CanonicalComplex) -> Iterable[tuple[tuple[int, ...], tuple[i
 # --- construction -----------------------------------------------------------
 
 
-def _extend(cell: Cell, w: Vec, c: Fraction, s: int, witness: Vec, add_eq: bool = False) -> Cell:
+def _extend(cell: Cell, f: IVec, s: int, point: IVec, add_eq: bool = False) -> Cell:
+    w = f[:-1]
     basis = cell.eq_basis
     dim = cell.dim
     if add_eq:
         basis = basis.copy()
         basis.add(w)
         dim -= 1
-    return Cell(cell.sign + (s,), cell.rows + ((w, c),), witness, dim, basis, cell.prefix)
+    return Cell(cell.sign + (s,), cell.rows + ((w, f[-1]),), point, dim, basis, cell.prefix)
+
+
+def _combine(a: int, p: IVec, b: int, q: IVec) -> IVec:
+    """a·p + b·q, divided by the gcd of its entries."""
+    out = [a * x + b * y for x, y in zip(p, q)]
+    g = gcd(*out)
+    return tuple(x // g for x in out) if g > 1 else tuple(out)
 
 
 class _Faces:
@@ -210,94 +237,89 @@ class _Faces:
     when all cells share the lineality space L: the closure of a cell is
     conv(minimal faces) + cone(rays) + L, where the minimal faces are the
     cells of dimension dim L and the rays the unbounded (dim L + 1)-cells,
-    and the face relation says which lie in which closure."""
+    and the face relation says which lie in which closure.  Points are
+    (X, d) and directions, those of L included, (D, 0)."""
 
-    def __init__(self, cells: Sequence[Cell], lineality: Sequence[Vec]):
+    def __init__(self, cells: Sequence[Cell], lineality: Sequence[IVec]):
         self.cells = cells
         self.lineality = lineality
-        self.minimal = [(sign_mask(c.sign), c.witness) for c in cells if c.dim == len(lineality)]
+        self.minimal = [(sign_mask(c.sign), c.point) for c in cells if c.dim == len(lineality)]
 
     @cached_property
-    def rays(self) -> list[tuple[int, Vec]]:
+    def rays(self) -> list[tuple[int, IVec]]:
         """(sign mask, direction) of each (dim L + 1)-cell with a single
-        minimal face u in its closure, pointing from u to its witness."""
+        minimal face u in its closure, pointing from u to its witness p:
+        u_d·p - p_d·u, which has last coordinate 0."""
         out = []
         for cell in self.cells:
             if cell.dim == len(self.lineality) + 1:
                 mask = sign_mask(cell.sign)
                 ends = [u for m, u in self.minimal if mask_in_closure(m, mask)]
                 if len(ends) == 1:
-                    out.append((mask, vsub(cell.witness, ends[0])))
+                    u, p = ends[0], cell.point
+                    out.append((mask, _combine(u[-1], p, -p[-1], u)))
         return out
 
-    def side_witness(self, cell: Cell, w: Vec, c: Fraction, v: Fraction, side: int) -> Vec | None:
-        """A point x of the cell with side·(w·x + c) > 0, or None when there
-        is none, given v = w·p + c at the cell's witness p, side·v <= 0."""
-        p = cell.witness
+    def side_witness(self, cell: Cell, f: IVec, v: int, side: int) -> IVec | None:
+        """A point X of the cell with side·(f·X) > 0, or None when there is
+        none, given v = f·P at the cell's witness P, side·v <= 0.  Each case
+        is a combination with side·f > 0 and a positive last coordinate."""
+        p = cell.point
         for line in self.lineality:
-            a = dot(w, line)
+            a = idot(f, line)
             if a:  # the form moves along L, which every cell contains
-                return vadd(p, vscale(line, (side - v) / a))
+                return _combine(abs(a), p, side * (abs(v) + 1) * (1 if a > 0 else -1), line)
         mask = sign_mask(cell.sign)
         for m, u in self.minimal:
             if mask_in_closure(m, mask):
-                val = dot(w, u) + c
-                if side * val > 0:
-                    # [p, u) lies in the cell; this point has value val / 2
-                    lam = (1 + v / (v - val)) / 2
-                    return vadd(p, vscale(vsub(u, p), lam))
+                a = idot(f, u)
+                if side * a > 0:  # a point of [p, u), which lies in the cell
+                    return _combine(abs(a), p, abs(v) + abs(a), u)
         for m, d in self.rays:
             if mask_in_closure(m, mask):
-                a = dot(w, d)
-                if side * a > 0:  # this point has value w·d
-                    return vadd(p, vscale(d, 1 - v / a))
+                a = idot(f, d)
+                if side * a > 0:
+                    return _combine(abs(a), p, abs(v) + 1, d)
         return None
 
 
-def _cut_point(p: Vec, q: Vec, w: Vec, c: Fraction) -> Vec:
-    vp = dot(w, p) + c
-    vq = dot(w, q) + c
-    lam = vp / (vp - vq)
-    return tuple(a + lam * (b - a) for a, b in zip(p, q))
-
-
-def _children(cell: Cell, w: Vec, c: Fraction, faces: _Faces) -> list[Cell]:
+def _children(cell: Cell, f: IVec, faces: _Faces) -> list[Cell]:
     """Split a cell of the complex that ``faces`` describes by the sign of
-    the affine form w·x + c."""
-    if cell.eq_basis.contains(w):
+    the primitive integer form f."""
+    p = cell.point
+    v = idot(f, p)
+    if cell.eq_basis.contains(f[:-1]):
         # constant on the cell's affine hull: a fixed sign, no split
-        v = dot(w, cell.witness) + c
-        s = 1 if v > 0 else -1 if v < 0 else 0
-        return [_extend(cell, w, c, s, cell.witness)]
-    v = dot(w, cell.witness) + c
+        return [_extend(cell, f, (v > 0) - (v < 0), p)]
     if v == 0:
         # nonconstant and vanishing at a relative-interior point: cuts the cell
-        plus = faces.side_witness(cell, w, c, v, +1)
-        minus = faces.side_witness(cell, w, c, v, -1)
+        plus = faces.side_witness(cell, f, v, +1)
+        minus = faces.side_witness(cell, f, v, -1)
         assert plus is not None and minus is not None
         return [
-            _extend(cell, w, c, 1, plus),
-            _extend(cell, w, c, -1, minus),
-            _extend(cell, w, c, 0, cell.witness, add_eq=True),
+            _extend(cell, f, 1, plus),
+            _extend(cell, f, -1, minus),
+            _extend(cell, f, 0, p, add_eq=True),
         ]
     s = 1 if v > 0 else -1
-    other = faces.side_witness(cell, w, c, v, -s)
+    other = faces.side_witness(cell, f, v, -s)
     if other is None:
-        return [_extend(cell, w, c, s, cell.witness)]
-    mid = _cut_point(cell.witness, other, w, c)
+        return [_extend(cell, f, s, p)]
+    # the zero of f on the segment [p, other]
+    mid = _combine(abs(idot(f, other)), p, abs(v), other)
     return [
-        _extend(cell, w, c, s, cell.witness),
-        _extend(cell, w, c, -s, other),
-        _extend(cell, w, c, 0, mid, add_eq=True),
+        _extend(cell, f, s, p),
+        _extend(cell, f, -s, other),
+        _extend(cell, f, 0, mid, add_eq=True),
     ]
 
 
-def _orthogonal_part(basis: list[Vec], w: Vec) -> list[Vec]:
-    """A basis of the vectors of span(basis) orthogonal to w."""
+def _orthogonal_part(basis: list[IVec], f: IVec) -> list[IVec]:
+    """A basis of the directions of span(basis) along which f is constant."""
     for k, line in enumerate(basis):
-        a = dot(w, line)
+        a = idot(f, line)
         if a:
-            return [vsub(m, vscale(line, dot(w, m) / a)) for m in basis[:k] + basis[k + 1 :]]
+            return [_combine(a, m, -idot(f, m), line) for m in basis[:k] + basis[k + 1 :]]
     return basis
 
 
@@ -314,38 +336,39 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
     upto = m if through_layers is None else through_layers
     if not 0 <= upto <= m:
         raise ValueError(f"through_layers must lie in [0, {m}]")
-    root = Cell((), (), zeros(n0), n0, RowBasis(n0), AffineMap.identity(n0))
+    root = Cell((), (), (0,) * n0 + (1,), n0, RowBasis(n0), AffineMap.identity(n0))
     cells: dict[tuple[int, ...], Cell] = {(): root}
     coords: list[CoordInfo] = []
     failures: set[NodeRef] = set()
     # the nullspace of the first-layer rows cut so far: the lineality space
     # of every closed cell, since every node map factors through layer 1
-    lineality = [unit(n0, k) for k in range(n0)]
+    lineality = [tuple(int(k == i) for i in range(n0 + 1)) for k in range(n0)]
     for i in range(upto):
         layer = net.layers[i]
         width = layer.out_dim
         for j in range(width):
             coords.append(CoordInfo(NODE, i, j, bha=not is_zero_vec(layer.weights[j])))
         # each piece with the pre-activation map of its previous-layer cell
-        pieces: list[tuple[Cell, AffineMap]] = []
+        # and that map's node forms as primitive integer vectors
+        pieces: list[tuple[Cell, AffineMap, list[IVec]]] = []
         for cell in cells.values():
             pre = layer.compose(cell.prefix)
-            for j in range(width):
-                w, c = pre.row(j)
-                if cell.eq_basis.contains(w) and dot(w, cell.witness) + c == 0:
+            forms = [primitive_form(*pre.row(j)) for j in range(width)]
+            for j, f in enumerate(forms):
+                if cell.eq_basis.contains(f[:-1]) and idot(f, cell.point) == 0:
                     failures.add(NodeRef(i, j))
-            pieces.append((cell, pre))
+            pieces.append((cell, pre, forms))
         for j in range(width):
-            faces = _Faces([piece for piece, _ in pieces], lineality)
+            faces = _Faces([piece for piece, _, _ in pieces], lineality)
             pieces = [
-                (child, pre)
-                for piece, pre in pieces
-                for child in _children(piece, *pre.row(j), faces)
+                (child, pre, forms)
+                for piece, pre, forms in pieces
+                for child in _children(piece, forms[j], faces)
             ]
             if i == 0:
-                lineality = _orthogonal_part(lineality, layer.weights[j])
+                lineality = _orthogonal_part(lineality, primitive_form(layer.weights[j], 0))
         cells = {}
-        for piece, pre in pieces:
+        for piece, pre, _ in pieces:
             bits = tuple(1 if s > 0 else 0 for s in piece.sign[-width:])
             piece.prefix = pre.masked(bits)
             cells[piece.sign] = piece
@@ -369,12 +392,13 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
         raise ValueError("complex is already refined by a threshold")
     require_restrictions(cpx)
     t = Fraction(t)
-    lineality = nullspace(cpx.network.layers[0].weights, cpx.ambient_dim)
+    first = cpx.network.layers[0].weights
+    lineality = [primitive_form(line, 0) for line in nullspace(first, cpx.ambient_dim)]
     faces = _Faces(list(cpx.cells.values()), lineality)
     refined: dict[tuple[int, ...], Cell] = {}
     for cell in cpx.cells.values():
         w, c = cell.restriction.row(0)
-        for child in _children(cell, w, c - t, faces):
+        for child in _children(cell, primitive_form(w, c - t), faces):
             child.restriction = cell.restriction
             refined[child.sign] = child
     coords = cpx.coords + (CoordInfo(LEVEL, -1, 0, False),)
@@ -426,20 +450,22 @@ def cell_bounded(cpx: CanonicalComplex, cell: Cell) -> bool:
         if cell.dim == 0:
             cell.bounded = True
         elif cell.dim == 1:
-            _is_segment(cell)
+            _edge_bounded(cpx, cell)
         else:
             edges = cpx.edge_masks
             mask = sign_mask(cell.sign)
             cell.bounded = edges is not None and all(
-                _is_segment(edge) for m, edge in edges if mask_in_closure(m, mask)
+                _edge_bounded(cpx, edge) for m, edge in edges if mask_in_closure(m, mask)
             )
     return cell.bounded
 
 
-def _is_segment(edge: Cell) -> bool:
+def _edge_bounded(cpx: CanonicalComplex, edge: Cell) -> bool:
+    """Whether the closed 1-cell is a segment: exactly two 0-cells lie in
+    its closure, where a ray has one and a line none."""
     if edge.bounded is None:
-        _, lo, hi = _edge_interval(edge)
-        edge.bounded = lo is not None and hi is not None
+        mask = sign_mask(edge.sign)
+        edge.bounded = sum(mask_in_closure(m, mask) for m in cpx.vertex_masks) == 2
     return edge.bounded
 
 
@@ -471,17 +497,13 @@ def line_interval(rows: Iterable[Row], point: Vec, direction: Vec, lo=None, hi=N
     return lo, hi
 
 
-def _edge_interval(cell: Cell) -> tuple[Vec, Fraction | None, Fraction | None]:
-    """A direction d of a 1-cell and the (lo, hi) of its closure as witness + t·d."""
+def edge_geometry(cell: Cell) -> tuple[str, Vec, Vec, Vec | None]:
+    """(kind, base, direction, end) of a 1-cell, exactly."""
     system, _ = cell.system(closed=True)
     dirs = nullspace(tuple(w for w, _ in system.equalities), len(cell.witness))
     assert len(dirs) == 1, "edge geometry needs a 1-dimensional cell"
-    return (dirs[0], *line_interval(system.inequalities, cell.witness, dirs[0]))
-
-
-def edge_geometry(cell: Cell) -> tuple[str, Vec, Vec, Vec | None]:
-    """(kind, base, direction, end) of a 1-cell, exactly."""
-    d, lo, hi = _edge_interval(cell)
+    d = dirs[0]
+    lo, hi = line_interval(system.inequalities, cell.witness, d)
     if lo is None and hi is None:
         return LINE, cell.witness, d, None
     if lo is None:  # a ray bounded above: point it the other way

@@ -81,6 +81,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
+        missing = [key for key in ("architecture", "trials", "seed") if key not in data]
+        if missing:
+            names = ", ".join(map(repr, missing))
+            raise ValueError(f"missing field{'s' if len(missing) > 1 else ''} {names}")
         kwargs = dict(
             architecture=tuple(data["architecture"]),
             trials=data["trials"],

@@ -1,10 +1,12 @@
 """Exact rational vectors, matrices, Gaussian elimination, and linear
 systems of affine constraints.
 
-All geometric computation in this package is exact: it runs over
-``fractions.Fraction``, and the simplex in ``lp`` over scaled integers; there
-is no floating point anywhere in the core.  Vectors are plain tuples of
-Fractions, matrices are tuples of row tuples.
+All geometric computation in this package is exact, with no floating point
+anywhere in the core.  Vectors are plain tuples of Fractions, matrices are
+tuples of row tuples.  Where only signs matter, the work runs over Python
+``int``: a form or a point is kept as a primitive integer vector (a positive
+multiple of the rational one, with coprime entries), ``RowBasis`` eliminates
+fraction-free, and the simplex in ``lp`` pivots on a scaled integer tableau.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
+IVec = tuple[int, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -98,6 +103,31 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return total
 
 
+def idot(u: Sequence[int], v: Sequence[int]) -> int:
+    """The dot product of two integer vectors of one length."""
+    return sum(map(mul, u, v))
+
+
+def primitive(values: Sequence[Fraction]) -> IVec:
+    """The positive multiple of a rational vector whose entries are coprime
+    integers; a zero vector stays zero."""
+    scale = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (scale // x.denominator) for x in values]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+def primitive_form(w: Sequence[Fraction], c: Fraction) -> IVec:
+    """The affine form x -> w·x + c as the primitive integer vector (w', c'),
+    which has the sign of the form at every point (X, d) with d > 0."""
+    return primitive((*w, c))
+
+
+def homogeneous(x: Sequence[Fraction]) -> IVec:
+    """The point x as the primitive integer vector (X, d), d > 0, x = X/d."""
+    return primitive((*x, 1))
+
+
 def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -132,14 +162,20 @@ def transpose(m: Mat) -> Mat:
 
 
 class RowBasis:
-    """Incremental row-echelon basis for span membership and rank queries."""
+    """Incremental row-echelon basis for span membership and rank queries.
+
+    Fraction-free: each basis row is a primitive integer vector, and a row
+    r is reduced against a basis row with pivot entry p by r <- p·r - f·row,
+    f = r[pivot], after dividing p and f by their gcd (after E. H. Bareiss,
+    Math. Comp. 22, 1968).  Rational input is scaled to integers on entry.
+    """
 
     __slots__ = ("dim", "_rows")
 
-    def __init__(self, dim: int, rows: list[tuple[int, Vec]] | None = None):
+    def __init__(self, dim: int, rows: list[tuple[int, IVec]] | None = None):
         self.dim = dim
-        # list of (pivot column, row with leading 1), kept sorted by pivot
-        self._rows: list[tuple[int, Vec]] = list(rows) if rows else []
+        # list of (pivot column, primitive integer row), kept sorted by pivot
+        self._rows: list[tuple[int, IVec]] = list(rows) if rows else []
 
     @property
     def rank(self) -> int:
@@ -148,27 +184,28 @@ class RowBasis:
     def copy(self) -> "RowBasis":
         return RowBasis(self.dim, self._rows)
 
-    def _reduce(self, w: Sequence[Fraction]) -> list[Fraction]:
-        r = list(w)
+    def _reduce(self, w: Sequence[Fraction]) -> Sequence[int]:
+        r = w if all(type(x) is int for x in w) else primitive(w)
         for piv, row in self._rows:
             f = r[piv]
             if f:
-                for j in range(piv, self.dim):
-                    if row[j]:
-                        r[j] -= f * row[j]
+                p = row[piv]
+                g = gcd(p, f)
+                if g > 1:
+                    p //= g
+                    f //= g
+                r = [p * x - f * y for x, y in zip(r, row)]
         return r
 
     def contains(self, w: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self._reduce(w))
+        return not any(self._reduce(w))
 
     def add(self, w: Sequence[Fraction]) -> bool:
         """Add w to the span. Returns True iff the rank grew."""
         r = self._reduce(w)
         for piv in range(self.dim):
             if r[piv]:
-                inv = ONE / r[piv]
-                row = tuple(x * inv for x in r)
-                self._rows.append((piv, row))
+                self._rows.append((piv, primitive(r)))
                 self._rows.sort(key=lambda pr: pr[0])
                 return True
         return False

@@ -125,7 +125,9 @@ class DecisionTopology:
 
 
 def _region_components(cpx: CanonicalComplex, keys: list[tuple[int, ...]]) -> list[list]:
-    """Connected components of a set of cells under the face relation."""
+    """Connected components of a set of cells under the face relation, each
+    in key order and ordered by their least keys: a function of the keys
+    alone, not of the order in which construction met the cells."""
     uf = _UnionFind(keys)
     masks = {k: sign_mask(k) for k in keys}
     # a proper face has fewer nonzero signs, so it sorts before its cells
@@ -135,7 +137,7 @@ def _region_components(cpx: CanonicalComplex, keys: list[tuple[int, ...]]) -> li
         for kc in by_zeros[i + 1 :]:
             if mask_in_closure(mf, masks[kc]):
                 uf.union(kf, kc)
-    return sorted(uf.groups().values())
+    return sorted(sorted(group) for group in uf.groups().values())
 
 
 def decision_topology(source: CanonicalComplex | ReluNetwork, t: Fraction) -> DecisionTopology:
@@ -154,7 +156,7 @@ def decision_topology(source: CanonicalComplex | ReluNetwork, t: Fraction) -> De
         comps = []
         for members in _region_components(refined, by_region[trailing]):
             bounded = all(cell_bounded(refined, refined.cells[k]) for k in members)
-            comps.append(RegionComponent(region, tuple(sorted(members)), bounded))
+            comps.append(RegionComponent(region, tuple(members), bounded))
         out[region] = tuple(comps)
     return DecisionTopology(t, out[YES], out[BOUNDARY], out[NO], refined, cpx)
 

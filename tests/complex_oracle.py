@@ -21,7 +21,16 @@ from relugeom.complexes import (
     CoordInfo,
     require_restrictions,
 )
-from relugeom.linalg import LinearSystem, RowBasis, Vec, dot, is_zero_vec, zeros
+from relugeom.linalg import (
+    LinearSystem,
+    RowBasis,
+    Vec,
+    dot,
+    homogeneous,
+    is_zero_vec,
+    primitive_form,
+    zeros,
+)
 from relugeom.network import NodeRef, ReluNetwork
 
 
@@ -32,7 +41,9 @@ def _extend(cell: Cell, w: Vec, c: Fraction, s: int, witness: Vec, add_eq: bool 
         basis = basis.copy()
         basis.add(w)
         dim -= 1
-    return Cell(cell.sign + (s,), cell.rows + ((w, c),), witness, dim, basis, cell.prefix)
+    f = primitive_form(w, c)  # Cell rows and witnesses are integer vectors
+    rows = cell.rows + ((f[:-1], f[-1]),)
+    return Cell(cell.sign + (s,), rows, homogeneous(witness), dim, basis, cell.prefix)
 
 
 def side_witness(cell: Cell, w: Vec, c: Fraction, side: int) -> Vec | None:
@@ -79,7 +90,7 @@ def children(cell: Cell, w: Vec, c: Fraction) -> list[Cell]:
 def build_complex(net: ReluNetwork) -> CanonicalComplex:
     """The canonical complex, each previous-layer cell split node by node."""
     n0 = net.input_dim
-    root = Cell((), (), zeros(n0), n0, RowBasis(n0), AffineMap.identity(n0))
+    root = Cell((), (), homogeneous(zeros(n0)), n0, RowBasis(n0), AffineMap.identity(n0))
     cells: dict[tuple[int, ...], Cell] = {(): root}
     coords: list[CoordInfo] = []
     failures: set[NodeRef] = set()

@@ -311,6 +311,52 @@ def test_experiment_missing_architecture(capsys):
     assert main(["experiment", "--trials", "3"]) == EXIT_INPUT
 
 
+def test_experiment_missing_seed_is_named(capsys):
+    assert main(["experiment", "--arch", "2,3,1", "--trials", "2"]) == EXIT_INPUT
+    assert "missing field 'seed'" in capsys.readouterr().err
+
+
+# every subcommand that writes a file, with its output flag last
+WRITERS = [
+    ["complex", "NET", "--out"],
+    ["skeleton", "NET", "-k", "1", "--out"],
+    ["regions", "NET", "-t", "auto", "--out"],
+    ["transversality", "NET", "--out"],
+    ["verify-johnson", "NET", "-t", "auto", "--out"],
+    ["verify-bounded", "NET", "-t", "auto", "--out"],
+    ["experiment", "--arch", "2,3,1", "--trials", "2", "--seed", "1", "--out"],
+    ["svg", "NET", "-t", "auto", "-o"],
+]
+
+
+def _unwritable_exits_2(capsys, argv, target):
+    assert main(argv + [str(target)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"cannot write {target}" in err, err
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=[argv[0] for argv in WRITERS])
+def test_output_below_a_file_exits_2(tmp_path, capsys, simplex_path, argv):
+    blocker = tmp_path / "FILE"
+    blocker.write_text("")
+    target = blocker / "x.json"
+    _unwritable_exits_2(capsys, [simplex_path if a == "NET" else a for a in argv], target)
+
+
+def test_unwritable_outputs_exit_2(tmp_path, capsys, simplex_path):
+    blocker = tmp_path / "FILE"
+    blocker.write_text("")
+    directory = tmp_path / "DIR"
+    directory.mkdir()
+    cases = [
+        (["complex", simplex_path, "--out"], tmp_path / "nonexistent" / "dir" / "x.json"),
+        (["experiment", "--arch", "2,3,1", "--trials", "2", "--seed", "1", "--out"], blocker),
+        (["svg", simplex_path, "-t", "auto", "-o"], directory),
+    ]
+    for argv, target in cases:
+        _unwritable_exits_2(capsys, argv, target)
+
+
 def test_svg_golden_stability(tmp_path, capsys, simplex_path):
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"

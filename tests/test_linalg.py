@@ -112,6 +112,43 @@ def test_row_basis_membership():
     assert not b.contains(vec([0, 0, 1]))
 
 
+def test_row_basis_matches_nullspace_dimension():
+    """rank and contains of the fraction-free basis against dim - nullity
+    from affine_solution, on integer and rational rows, dependent ones
+    included."""
+    rng = random.Random(1968)
+    dependent = contained = 0
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        den = rng.choice((1, 1, 3, 8))
+
+        def entry():
+            k = rng.randint(-4 * den, 4 * den)
+            return k if den == 1 else Fraction(k, den)
+
+        rows = []
+        basis = RowBasis(dim)
+        for _ in range(rng.randint(1, 7)):
+            if rows and rng.random() < 0.4:  # a combination of earlier rows
+                a, b = rng.choice(rows), rng.choice(rows)
+                p, q = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+                row = tuple(p * x + q * y for x, y in zip(a, b))
+                dependent += 1
+            else:
+                row = tuple(entry() for _ in range(dim))
+            grew = basis.add(row)
+            rows.append(row)
+            rank_now = dim - len(nullspace(rows, dim))
+            assert basis.rank == rank_now
+            assert grew == (rank_now > dim - len(nullspace(rows[:-1], dim)))
+            probe = tuple(entry() for _ in range(dim))
+            inside = dim - len(nullspace(rows + [probe], dim)) == rank_now
+            assert basis.contains(probe) == inside
+            contained += inside
+            assert basis.contains(rows[rng.randrange(len(rows))])
+    assert dependent > 100 and contained > 100, (dependent, contained)
+
+
 def test_mat_mul():
     a = mat([[1, 2], [0, 1]])
     b = mat([[1, 0], [3, 1]])

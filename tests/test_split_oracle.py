@@ -9,21 +9,35 @@ import json
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import complex_oracle
-from conftest import random_net
-from relugeom import complexes, lp
+from conftest import net_of, random_net
+from relugeom import complexes, lp, topology
 from relugeom.cli import auto_threshold
 from relugeom.complexes import complex_to_json, mask_in_closure, sign_mask
-from relugeom.linalg import dot
+from relugeom.linalg import idot
 
 ARCHITECTURES = [
     (1, 3, 1), (2, 3, 1), (2, 4, 1), (2, 2, 2, 1), (3, 3, 1, 1), (2, 1, 1),
     (3, 4, 1), (2, 3, 3, 1), (3, 2, 2, 1), (1, 2, 2, 1), (4, 3, 1), (3, 1, 2, 1),
 ]
 NETS = 240  # 20 per architecture, half with entries in [-2, 2], half in [-4, 4]
+RATIONAL_NETS = 48  # 4 per architecture, entries k/8 or k/3 in [-2, 2]
+
+
+def rational_net(rng: random.Random, arch, den: int):
+    """A net whose entries are k/den in [-2, 2]: its node forms need scaling
+    to integers."""
+    def entry():
+        return Fraction(rng.randint(-2 * den, 2 * den), den)
+
+    return net_of(*(
+        ([[entry() for _ in range(n_in)] for _ in range(n_out)], [entry() for _ in range(n_out)])
+        for n_in, n_out in zip(arch, arch[1:])
+    ))
 
 
 def sample_nets():
@@ -31,18 +45,21 @@ def sample_nets():
     for k in range(NETS):
         bound = 2 if (k // len(ARCHITECTURES)) % 2 else 4
         yield random_net(rng, ARCHITECTURES[k % len(ARCHITECTURES)], -bound, bound)
+    for k in range(RATIONAL_NETS):
+        den = 8 if (k // len(ARCHITECTURES)) % 2 else 3
+        yield rational_net(rng, ARCHITECTURES[k % len(ARCHITECTURES)], den)
 
 
-def split_case(faces, cell, w, c, side) -> int:
+def split_case(faces, cell, f, side) -> int:
     """Which of the four cases decides a side: 1 the form moves along the
     lineality space, 2 a minimal face of the closure lies on that side, 3 a
     ray of the closure points into it, 4 the side misses the cell."""
-    if any(dot(w, line) for line in faces.lineality):
+    if any(idot(f, line) for line in faces.lineality):
         return 1
     mask = sign_mask(cell.sign)
-    if any(mask_in_closure(m, mask) and side * (dot(w, u) + c) > 0 for m, u in faces.minimal):
+    if any(mask_in_closure(m, mask) and side * idot(f, u) > 0 for m, u in faces.minimal):
         return 2
-    if any(mask_in_closure(m, mask) and side * dot(w, d) > 0 for m, d in faces.rays):
+    if any(mask_in_closure(m, mask) and side * idot(f, d) > 0 for m, d in faces.rays):
         return 3
     return 4
 
@@ -74,9 +91,9 @@ def runs():
     new_lps = 0
     split = complexes._Faces.side_witness
 
-    def spy_split(faces, cell, w, c, v, side):
-        point = split(faces, cell, w, c, v, side)
-        case = split_case(faces, cell, w, c, side)
+    def spy_split(faces, cell, f, v, side):
+        point = split(faces, cell, f, v, side)
+        case = split_case(faces, cell, f, side)
         assert (point is None) == (case == 4)
         cases[case] += 1
         if not any(other.dim == 0 for other in faces.cells):
@@ -128,3 +145,26 @@ def test_construction_makes_no_lp(runs):
     _, _, new_lps, all_lps = runs
     assert new_lps == 0
     assert all_lps > 1000  # the spy sees the oracle's LPs
+
+
+def test_bounded_checks_do_not_follow_the_witnesses(runs):
+    """decision_topology asks cell_bounded about the same cells, in the same
+    order, and gives the same answer on the LP-free complex as on the
+    oracle's, whose witnesses and so whose cell order differ."""
+    pairs, _, _, _ = runs
+    original = topology.cell_bounded
+    asked = []
+
+    def spy(cpx, cell):
+        asked.append(cell.sign)
+        return original(cpx, cell)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "cell_bounded", spy)
+        for cpx, refined, expected, _ in pairs:
+            seen = []
+            for source in (cpx, expected):
+                asked.clear()
+                out = topology.decision_topology(source, refined.threshold).to_json()
+                seen.append((list(asked), json.dumps(out, sort_keys=True)))
+            assert seen[0] == seen[1], cpx.network
