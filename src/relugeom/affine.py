@@ -1,68 +1,98 @@
-"""Affine maps W·x + b between rational coordinate spaces."""
+"""Affine maps W·x + b between rational coordinate spaces.
+
+A map is stored over Python ``int``: one integer row (w', c') per output and
+one positive denominator den, meaning x ↦ (w'·x + c')/den, with the gcd of
+den and every entry 1, so each rational map has exactly one form.  A row is
+then a positive multiple of its output's affine form, which is all a sign
+test needs, and composition and masking stay in integers.  ``Fraction``
+views of the weights and biases serve input, evaluation and output.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
-from .linalg import ONE, ZERO, Mat, Vec, dot, mat, mat_mul, mat_vec, vec
+from .linalg import IVec, Mat, Vec, dot, mat, vec
 
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x ↦ weights·x + bias, one weight row and one bias entry per output."""
+    """x ↦ (w'·x + c')/den for each integer row (w', c'), den > 0; reduced
+    on construction so that den and the entries are coprime."""
 
-    weights: Mat
-    bias: Vec
+    rows: tuple[IVec, ...]
+    den: int
 
     def __post_init__(self):
-        if len(self.weights) != len(self.bias):
-            raise ValueError("bias length must equal the number of weight rows")
-        if self.weights and any(len(r) != len(self.weights[0]) for r in self.weights):
-            raise ValueError("ragged weight matrix")
+        if self.den <= 0:
+            raise ValueError("the denominator of an affine map must be positive")
+        if self.den > 1:
+            g = gcd(self.den, *chain.from_iterable(self.rows))
+            if g > 1:
+                object.__setattr__(self, "rows", tuple(tuple(x // g for x in r) for r in self.rows))
+                object.__setattr__(self, "den", self.den // g)
 
     @property
     def out_dim(self) -> int:
-        return len(self.weights)
+        return len(self.rows)
 
     @property
     def in_dim(self) -> int:
-        return len(self.weights[0]) if self.weights else 0
+        return len(self.rows[0]) - 1 if self.rows else 0
 
     @staticmethod
     def of(weights, bias) -> "AffineMap":
-        return AffineMap(mat(weights), vec(bias))
+        w, b = mat(weights), vec(bias)
+        if len(w) != len(b):
+            raise ValueError("bias length must equal the number of weight rows")
+        # a set and a list, not generators: CPython builds a tuple from a
+        # generator in 10 slots and shrinks it, and each shrunk tuple then
+        # stays on the free list of its new size (~0.3 MB on (2,3,1) nets)
+        den = lcm(*{x.denominator for x in chain(b, *w)})
+        rows = tuple(
+            tuple([x.numerator * (den // x.denominator) for x in (*r, c)]) for r, c in zip(w, b)
+        )
+        return AffineMap(rows, den)
 
     @staticmethod
     def identity(n: int) -> "AffineMap":
-        w = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-        return AffineMap(w, (ZERO,) * n)
+        return AffineMap(tuple(tuple(int(i == j) for j in range(n + 1)) for i in range(n)), 1)
+
+    @cached_property
+    def weights(self) -> Mat:
+        return tuple(tuple(Fraction(x, self.den) for x in r[:-1]) for r in self.rows)
+
+    @cached_property
+    def bias(self) -> Vec:
+        return tuple(Fraction(r[-1], self.den) for r in self.rows)
 
     def apply(self, x: Sequence[Fraction]) -> Vec:
         if len(x) != self.in_dim:
             raise ValueError(f"dimension mismatch: point in R^{len(x)}, map on R^{self.in_dim}")
-        return tuple(dot(row, x) + b for row, b in zip(self.weights, self.bias))
+        return tuple((dot(r[:-1], x) + r[-1]) / self.den for r in self.rows)
 
     def row(self, j: int) -> tuple[Vec, Fraction]:
         """The affine form of output coordinate j, as (weight row, bias)."""
         return self.weights[j], self.bias[j]
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self ∘ inner."""
+        """self ∘ inner: each row of self times the inner rows stacked over
+        (0, ..., 0, inner.den), all over self.den·inner.den."""
         if inner.out_dim != self.in_dim:
             raise ValueError("dimension mismatch in composition")
-        w = mat_mul(self.weights, inner.weights)
-        b = tuple(v + c for v, c in zip(mat_vec(self.weights, inner.bias), self.bias))
-        return AffineMap(w, b)
+        cols = list(zip(*inner.rows, (0,) * inner.in_dim + (inner.den,)))
+        rows = tuple(tuple(sum(map(mul, r, col)) for col in cols) for r in self.rows)
+        return AffineMap(rows, self.den * inner.den)
 
     def masked(self, bits: Sequence[int]) -> "AffineMap":
         """Zero out the output rows (weights and bias) whose bit is 0."""
         if len(bits) != self.out_dim:
             raise ValueError("mask length must equal the output dimension")
-        n = self.in_dim
-        w = tuple(
-            row if bit else (ZERO,) * n for row, bit in zip(self.weights, bits)
-        )
-        b = tuple(v if bit else ZERO for v, bit in zip(self.bias, bits))
-        return AffineMap(w, b)
+        zero = (0,) * (self.in_dim + 1)
+        return AffineMap(tuple(r if bit else zero for r, bit in zip(self.rows, bits)), self.den)

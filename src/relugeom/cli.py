@@ -78,7 +78,7 @@ def auto_threshold(cpx) -> Fraction:
     """The smallest-denominator transversal rational within the range of F
     over the complex's vertices and constant cells."""
     bad = cpx.constant_values
-    values = {c.value(c.witness) for c in cpx.cells.values() if c.dim == 0} | bad
+    values = {c.witness_value() for c in cpx.cells.values() if c.dim == 0} | bad
     if values:
         lo, hi = min(values), max(values)
     else:
@@ -232,7 +232,12 @@ def cmd_svg(args) -> int:
         if len(parts) != 4 or parts[0] >= parts[2] or parts[1] >= parts[3]:
             raise CliError("bbox must be x0,y0,x1,y1 with x0 < x1 and y0 < y1", EXIT_INPUT)
         bbox = tuple(parts)
-    _write(args.output, render_svg(decision_topology(cpx, t), bbox))
+    topology = decision_topology(cpx, t)
+    try:
+        body = render_svg(topology, bbox)
+    except OverflowError as exc:
+        raise CliError(f"cannot draw: the picture's coordinates exceed the float range ({exc})", EXIT_INPUT)
+    _write(args.output, body)
     return EXIT_OK
 
 

@@ -21,6 +21,9 @@ is kept as the primitive integer vector f = (w', c'), a positive multiple
 of (w, c); a point x as (X, d) with x = X/d, d > 0, gcd 1; a direction as
 (D, 0).  Then f·(X, d) has the sign of the form at x, and every new witness
 is a nonnegative integer combination of two known points or directions.
+A cell's prefix and restriction are integer ``AffineMap``s, rows over one
+positive denominator, so each node form and each F - t comes from their
+integer rows, and F at a witness is f·(X, d) / (den·d).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .linalg import (
     idot,
     is_zero_vec,
     nullspace,
+    primitive,
     primitive_form,
     rat_str,
     vadd,
@@ -73,8 +77,11 @@ class Cell:
     point: IVec  # the witness, a point of the relative interior, as (X, d)
     dim: int
     eq_basis: RowBasis
-    prefix: AffineMap | None = None  # masked composite of the processed layers
-    restriction: AffineMap | None = None  # F as an affine map on this cell
+    # the masked composite of the processed layers, and F as an affine map on
+    # this cell: integer rows over one denominator, each row a positive
+    # multiple of its form, so a primitive row is the form's integer vector
+    prefix: AffineMap | None = None
+    restriction: AffineMap | None = None
     bounded: bool | None = None  # filled lazily
 
     @cached_property
@@ -116,8 +123,12 @@ class Cell:
         return True
 
     def value(self, x: Sequence[Fraction]) -> Fraction:
-        w, c = self.restriction.row(0)
-        return dot(w, x) + c
+        return self.restriction.apply(x)[0]
+
+    def witness_value(self) -> Fraction:
+        """F at the witness (X, d): f·(X, d) / (den·d) for F's row f."""
+        f = self.restriction.rows[0]
+        return Fraction(idot(f, self.point), self.restriction.den * self.point[-1])
 
 
 def sign_key(sign: Sequence[int]) -> str:
@@ -133,8 +144,7 @@ def cell_is_constant(cell: Cell) -> bool:
     """Whether F is constant on the cell: the restriction's gradient is
     orthogonal to the cell's affine hull, i.e. lies in the span of the
     active equality normals."""
-    w, _ = cell.restriction.row(0)
-    return cell.eq_basis.contains(w)
+    return cell.eq_basis.contains(cell.restriction.rows[0][:-1])
 
 
 @dataclass
@@ -172,7 +182,7 @@ class CanonicalComplex:
         """The values F takes on cells where it is constant: exactly the
         thresholds at which transversality fails."""
         require_restrictions(self)
-        return frozenset(c.value(c.witness) for c in self.cells.values() if cell_is_constant(c))
+        return frozenset(c.witness_value() for c in self.cells.values() if cell_is_constant(c))
 
 
 def require_restrictions(cpx: CanonicalComplex) -> None:
@@ -347,13 +357,13 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
         layer = net.layers[i]
         width = layer.out_dim
         for j in range(width):
-            coords.append(CoordInfo(NODE, i, j, bha=not is_zero_vec(layer.weights[j])))
+            coords.append(CoordInfo(NODE, i, j, bha=any(layer.rows[j][:-1])))
         # each piece with the pre-activation map of its previous-layer cell
         # and that map's node forms as primitive integer vectors
         pieces: list[tuple[Cell, AffineMap, list[IVec]]] = []
         for cell in cells.values():
             pre = layer.compose(cell.prefix)
-            forms = [primitive_form(*pre.row(j)) for j in range(width)]
+            forms = [primitive(r) for r in pre.rows]
             for j, f in enumerate(forms):
                 if cell.eq_basis.contains(f[:-1]) and idot(f, cell.point) == 0:
                     failures.add(NodeRef(i, j))
@@ -366,7 +376,7 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
                 for child in _children(piece, forms[j], faces)
             ]
             if i == 0:
-                lineality = _orthogonal_part(lineality, primitive_form(layer.weights[j], 0))
+                lineality = _orthogonal_part(lineality, primitive((*layer.rows[j][:-1], 0)))
         cells = {}
         for piece, pre, _ in pieces:
             bits = tuple(1 if s > 0 else 0 for s in piece.sign[-width:])
@@ -392,13 +402,16 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
         raise ValueError("complex is already refined by a threshold")
     require_restrictions(cpx)
     t = Fraction(t)
+    p, q = t.numerator, t.denominator
     first = cpx.network.layers[0].weights
     lineality = [primitive_form(line, 0) for line in nullspace(first, cpx.ambient_dim)]
     faces = _Faces(list(cpx.cells.values()), lineality)
     refined: dict[tuple[int, ...], Cell] = {}
     for cell in cpx.cells.values():
-        w, c = cell.restriction.row(0)
-        for child in _children(cell, primitive_form(w, c - t), faces):
+        # F - t = (w'·x + c')/den - p/q, a positive multiple of (q·w', q·c' - p·den)
+        *w, c = cell.restriction.rows[0]
+        f = primitive((*(q * x for x in w), q * c - p * cell.restriction.den))
+        for child in _children(cell, f, faces):
             child.restriction = cell.restriction
             refined[child.sign] = child
     coords = cpx.coords + (CoordInfo(LEVEL, -1, 0, False),)

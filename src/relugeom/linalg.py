@@ -5,7 +5,9 @@ All geometric computation in this package is exact, with no floating point
 anywhere in the core.  Vectors are plain tuples of Fractions, matrices are
 tuples of row tuples.  Where only signs matter, the work runs over Python
 ``int``: a form or a point is kept as a primitive integer vector (a positive
-multiple of the rational one, with coprime entries), ``RowBasis`` eliminates
+multiple of the rational one, with coprime entries), an affine map as
+integer rows over one positive denominator (``affine.AffineMap``), so its
+composition and masking need no fractions, ``RowBasis`` eliminates
 fraction-free, and the simplex in ``lp`` pivots on a scaled integer tableau.
 """
 
@@ -111,8 +113,11 @@ def idot(u: Sequence[int], v: Sequence[int]) -> int:
 def primitive(values: Sequence[Fraction]) -> IVec:
     """The positive multiple of a rational vector whose entries are coprime
     integers; a zero vector stays zero."""
-    scale = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (scale // x.denominator) for x in values]
+    if all(type(x) is int for x in values):
+        ints = values
+    else:
+        scale = lcm(*(x.denominator for x in values))
+        ints = [x.numerator * (scale // x.denominator) for x in values]
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
@@ -142,23 +147,6 @@ def vscale(u: Vec, a: Fraction) -> Vec:
 
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in u)
-
-
-def mat_vec(m: Mat, x: Sequence[Fraction]) -> Vec:
-    return tuple(dot(row, x) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch in matrix product")
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def transpose(m: Mat) -> Mat:
-    if not m:
-        return ()
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
 class RowBasis:

@@ -132,11 +132,11 @@ def pad_to_width(net: ReluNetwork) -> ReluNetwork:
         w = tuple(row + (ZERO,) * (prev_dim - layer.in_dim) for row in layer.weights)
         w += tuple(((ZERO,) * prev_dim,) * pad)
         b = layer.bias + (ZERO,) * pad
-        layers.append(AffineMap(w, b))
+        layers.append(AffineMap.of(w, b))
         prev_dim = width
     out = net.output_layer
     w = tuple(row + (ZERO,) * (prev_dim - out.in_dim) for row in out.weights)
-    layers.append(AffineMap(w, out.bias))
+    layers.append(AffineMap.of(w, out.bias))
     return ReluNetwork(tuple(layers))
 
 

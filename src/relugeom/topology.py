@@ -293,7 +293,7 @@ def max_subgraph(
         for key, cell in refined.cells.items()
         if cell.dim == 0 and in_closure(key)
     ]
-    values = {key: cell.value(cell.witness) for key, cell in closure_vertices}
+    values = {key: cell.witness_value() for key, cell in closure_vertices}
     extreme = max(values.values()) if region == YES else min(values.values())
 
     flat_vertices = sorted(k[:-1] for k, v in values.items() if v == extreme)
@@ -302,7 +302,7 @@ def max_subgraph(
         for k in member
         if refined.cells[k].dim == 1
         and cell_is_constant(refined.cells[k])
-        and refined.cells[k].value(refined.cells[k].witness) == extreme
+        and refined.cells[k].witness_value() == extreme
     )
 
     graph_vertices = sorted(

@@ -383,6 +383,29 @@ def test_svg_bbox_and_errors(tmp_path, capsys, simplex_path, relu_path):
     assert main(["svg", simplex_path, "-t", "0", "-o", str(out)]) == EXIT_NON_TRANSVERSAL
 
 
+# a valid net whose vertex lies at x = -10^400, beyond the float range
+FAR_VERTEX_NET = {
+    "layers": [
+        {"W": [["1e-400", "0"], ["0", "1"], ["1", "1"]], "b": ["1", "0", "0"]},
+        {"W": [["1", "1", "1"]], "b": ["0"]},
+    ]
+}
+
+
+def test_svg_beyond_the_float_range_exits_2(tmp_path, capsys, simplex_path):
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(FAR_VERTEX_NET))
+    out = tmp_path / "x.svg"
+    cases = [
+        ["svg", simplex_path, "-t", "1", "--bbox", "0,0,1e4000,1", "-o", str(out)],
+        ["svg", str(far), "-t", "auto", "-o", str(out)],
+    ]
+    for argv in cases:
+        assert main(argv) == EXIT_INPUT
+        assert "exceed the float range" in capsys.readouterr().err
+        assert not out.exists()
+
+
 OUTPUT_LAYER = {"W": [["1"]], "b": ["0"]}
 
 

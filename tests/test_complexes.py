@@ -53,6 +53,31 @@ def test_restriction_equals_evaluation_on_cells():
             assert cell.value(p) == evaluate(net, p)
 
 
+@pytest.mark.parametrize("arch", [(2, 3, 3, 1), (3, 3, 1, 1)])
+@pytest.mark.parametrize("den", [8, 3])
+def test_restriction_equals_evaluation_on_rational_nets(arch, den):
+    """As above, on nets with entries k/den, whose prefix maps gather a
+    growing denominator through the layers."""
+    rng = random.Random(1000 * den + arch[0])
+
+    def entry():
+        return Fraction(rng.randint(-2 * den, 2 * den), den)
+
+    dens = set()
+    for _ in range(3):
+        net = net_of(*(
+            ([[entry() for _ in range(n_in)] for _ in range(n_out)], [entry() for _ in range(n_out)])
+            for n_in, n_out in zip(arch, arch[1:])
+        ))
+        cpx = build_complex(net)
+        for cell in cpx.cells.values():
+            dens.add(cell.restriction.den)
+            assert cell.witness_value() == evaluate(net, cell.witness)
+            for p in interior_points(cell, rng, 3):
+                assert cell.value(p) == evaluate(net, p)
+    assert max(dens) > den, dens
+
+
 def test_partition_every_point_in_exactly_one_cell():
     rng = random.Random(102)
     net = random_net(rng, (2, 3, 1))

@@ -3,18 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from matrix_oracle import mat_mul, transpose
 from relugeom.linalg import (
     RowBasis,
     affine_solution,
     dot,
     mat,
-    mat_mul,
     nullspace,
     rank,
     rat,
     rat_str,
     solve_square,
-    transpose,
     vec,
 )
 

@@ -18,7 +18,7 @@ from conftest import net_of, random_net
 from relugeom import complexes, lp, topology
 from relugeom.cli import auto_threshold
 from relugeom.complexes import complex_to_json, mask_in_closure, sign_mask
-from relugeom.linalg import idot
+from relugeom.linalg import dot, idot
 
 ARCHITECTURES = [
     (1, 3, 1), (2, 3, 1), (2, 4, 1), (2, 2, 2, 1), (3, 3, 1, 1), (2, 1, 1),
@@ -168,3 +168,31 @@ def test_bounded_checks_do_not_follow_the_witnesses(runs):
                 out = topology.decision_topology(source, refined.threshold).to_json()
                 seen.append((list(asked), json.dumps(out, sort_keys=True)))
             assert seen[0] == seen[1], cpx.network
+
+
+def test_constant_values_match_the_fraction_views(runs):
+    """constant_values reads F's integer row at the integer witness; the
+    Fraction views of the restriction give the same values."""
+    pairs, _, _, _ = runs
+    nonempty = 0
+    for cpx, refined, _, _ in pairs:
+        for source in (cpx, refined):
+            expected = set()
+            for cell in source.cells.values():
+                w, c = cell.restriction.row(0)
+                if cell.eq_basis.contains(w):
+                    expected.add(dot(w, cell.witness) + c)
+            assert source.constant_values == expected
+            nonempty += bool(expected)
+    assert nonempty > 100
+
+
+def test_refinement_at_a_fractional_threshold_matches_the_oracle(runs):
+    """auto_threshold mostly picks integers; at t = p/q with 3 | q the level
+    form (q·w', q·c' - p·den) of F - t is scaled by q > 1."""
+    pairs, _, _, _ = runs
+    for cpx, refined, expected, _ in pairs:
+        t = refined.threshold + Fraction(1, 3 * refined.threshold.denominator)
+        assert t.denominator % 3 == 0
+        got = complexes.refine_by_threshold(cpx, t)
+        assert dump(got) == dump(complex_oracle.refine_by_threshold(expected, t))
