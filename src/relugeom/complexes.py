@@ -14,7 +14,16 @@ carries a witness point of its relative interior, and a pass finds the
 witnesses of a cell's new sides in the face lattice of the complex it cuts,
 with no LP: every closed cell has the same lineality space L (node maps
 factor through the first layer's affine map), so it is the convex hull of
-its minimal faces plus the cone of its rays plus L.
+its minimal faces plus the cone of its rays plus L.  Cells of one
+activation pattern share their masked prefix, so each layer composes it,
+and each masked map and restriction is made, once per pattern.
+
+The face relation is read off sign vectors alone: a cell lies in the
+closure of another iff its signs turn some +/- coordinates of the other
+into 0.  ``SignIndex`` keeps the signs of all cells bit-sliced, one big int
+per coordinate and sign, so a closure or a star is one AND per coordinate
+over every cell at once.  Components, boundedness, the exported faces and
+the minimal faces and rays of the split all query it.
 
 The split needs only signs, so it runs over Python ints.  A form w·x + c
 is kept as the primitive integer vector f = (w', c'), a positive multiple
@@ -28,7 +37,7 @@ integer rows, and F at a witness is f·(X, d) / (den·d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -46,7 +55,6 @@ from .linalg import (
     is_zero_vec,
     nullspace,
     primitive,
-    primitive_form,
     rat_str,
     vadd,
     vscale,
@@ -157,6 +165,9 @@ class CanonicalComplex:
     # hidden nodes whose map is constant zero on a cell of the complex of the
     # layers before them: exactly those for which 0 is not transversal
     node_failures: frozenset[NodeRef] = frozenset()
+    # a basis (ℓ, 0) of the lineality space L of every closed cell: the
+    # nullspace of the first-layer rows cut, as primitive integer directions
+    lineality: tuple[IVec, ...] = field(kw_only=True)
 
     def sorted_cells(self) -> list[Cell]:
         return [self.cells[k] for k in sorted(self.cells)]
@@ -165,17 +176,9 @@ class CanonicalComplex:
         return [c for c in self.sorted_cells() if c.dim == k]
 
     @cached_property
-    def vertex_masks(self) -> list[int]:
-        """The sign mask of every 0-cell."""
-        return [sign_mask(k) for k, cell in self.cells.items() if cell.dim == 0]
-
-    @cached_property
-    def edge_masks(self) -> list[tuple[int, Cell]] | None:
-        """(sign mask, cell) of every 1-cell; None without a vertex, when
-        no cell is pointed and so every cell is unbounded."""
-        if not self.vertex_masks:
-            return None
-        return [(sign_mask(k), cell) for k, cell in self.cells.items() if cell.dim == 1]
+    def index(self) -> SignIndex:
+        """The face relation of the complex, over its cells in key order."""
+        return SignIndex(self.sorted_cells())
 
     @cached_property
     def constant_values(self) -> frozenset[Fraction]:
@@ -192,33 +195,75 @@ def require_restrictions(cpx: CanonicalComplex) -> None:
         raise ValueError("the complex lacks the per-cell restriction of F")
 
 
-def sign_mask(sign: Sequence[int]) -> int:
-    """The sign vector as bits: 2i set for a + at coordinate i, 2i + 1 for a -."""
-    mask = 0
-    for i, s in enumerate(sign):
-        if s > 0:
-            mask |= 1 << (2 * i)
-        elif s < 0:
-            mask |= 2 << (2 * i)
-    return mask
+class SignIndex:
+    """The face relation of a list of cells of one complex, bit-sliced: for
+    each coordinate j, ``plus[j]`` has bit i set when cell i has a + at j,
+    and ``minus[j]`` when it has a -.  A cell lies in the closure of another
+    iff its signs turn some (or no) +/- coordinates of the other into 0;
+    the node maps are continuous, so this is exactly the face relation of
+    the complex, the cell itself included.  A query is then one AND of big
+    ints per coordinate, over all cells at once, and answers with a bitset
+    of cells."""
 
+    def __init__(self, cells: Sequence[Cell]):
+        self.cells = cells
+        self.all = (1 << len(cells)) - 1
+        width = len(cells[0].sign) if cells else 0
+        plus = [0] * width
+        minus = [0] * width
+        self._dims: dict[int, int] = {}
+        for i, cell in enumerate(cells):
+            bit = 1 << i
+            self._dims[cell.dim] = self._dims.get(cell.dim, 0) | bit
+            for j, s in enumerate(cell.sign):
+                if s > 0:
+                    plus[j] |= bit
+                elif s < 0:
+                    minus[j] |= bit
+        self.plus = plus
+        self.minus = minus
+        # per coordinate, the faces allowed where a cell has sign s, at index
+        # s: a 0 only (s = 0), anything but a - (s = +1), anything but a +
+        # (s = -1, the last entry)
+        full = self.all
+        self._allowed = [(full & ~(p | m), full & ~m, full & ~p) for p, m in zip(plus, minus)]
 
-def mask_in_closure(face: int, cell: int) -> bool:
-    """Whether the cell with sign mask ``face`` lies in the closure of the
-    cell with sign mask ``cell``: its signs turn some (or no) +/- coordinates
-    of the other into 0.  The node maps are continuous, so this is exactly
-    the face relation of the complex, the cell itself included."""
-    return face & ~cell == 0
+    def of_dim(self, k: int) -> int:
+        """The cells of dimension k."""
+        return self._dims.get(k, 0)
+
+    def closure(self, sign: Sequence[int]) -> int:
+        """The cells in the closure of the cell with this sign, itself included."""
+        bits = self.all
+        for s, allowed in zip(sign, self._allowed):
+            bits &= allowed[s]
+        return bits
+
+    def star(self, sign: Sequence[int]) -> int:
+        """The cells whose closure holds the cell with this sign, itself included."""
+        bits = self.all
+        for s, p, m in zip(sign, self.plus, self.minus):
+            if s:
+                bits &= p if s > 0 else m
+        return bits
+
+    def members(self, bits: int) -> list[Cell]:
+        """The cells of a bitset, in index order."""
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(self.cells[low.bit_length() - 1])
+            bits ^= low
+        return out
 
 
 def face_pairs(cpx: CanonicalComplex) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All (face key, cell key) pairs of distinct cells in the face relation."""
-    keys = sorted(cpx.cells)
-    masks = {k: sign_mask(k) for k in keys}
-    for kf in keys:
-        for kc in keys:
-            if kf != kc and mask_in_closure(masks[kf], masks[kc]):
-                yield kf, kc
+    index = cpx.index
+    for face in index.cells:
+        for cell in index.members(index.star(face.sign)):
+            if cell is not face:
+                yield face.sign, cell.sign
 
 
 # --- construction -----------------------------------------------------------
@@ -246,29 +291,31 @@ class _Faces:
     """The faces that every closed cell of a complete complex is built from,
     when all cells share the lineality space L: the closure of a cell is
     conv(minimal faces) + cone(rays) + L, where the minimal faces are the
-    cells of dimension dim L and the rays the unbounded (dim L + 1)-cells,
-    and the face relation says which lie in which closure.  Points are
-    (X, d) and directions, those of L included, (D, 0)."""
+    cells of dimension dim L and the rays the unbounded (dim L + 1)-cells.
+    Each kind has its own ``SignIndex``, which says which lie in the closure
+    of a cell.  Points are (X, d) and directions, those of L included,
+    (D, 0)."""
 
     def __init__(self, cells: Sequence[Cell], lineality: Sequence[IVec]):
         self.cells = cells
         self.lineality = lineality
-        self.minimal = [(sign_mask(c.sign), c.point) for c in cells if c.dim == len(lineality)]
+        self.minimal = SignIndex([c for c in cells if c.dim == len(lineality)])
 
     @cached_property
-    def rays(self) -> list[tuple[int, IVec]]:
-        """(sign mask, direction) of each (dim L + 1)-cell with a single
-        minimal face u in its closure, pointing from u to its witness p:
+    def rays(self) -> tuple[SignIndex, dict[Cell, IVec]]:
+        """The (dim L + 1)-cells with a single minimal face u in their
+        closure, and the direction of each, from u to its witness p:
         u_d·p - p_d·u, which has last coordinate 0."""
-        out = []
+        cells = []
+        directions = {}
         for cell in self.cells:
             if cell.dim == len(self.lineality) + 1:
-                mask = sign_mask(cell.sign)
-                ends = [u for m, u in self.minimal if mask_in_closure(m, mask)]
-                if len(ends) == 1:
-                    u, p = ends[0], cell.point
-                    out.append((mask, _combine(u[-1], p, -p[-1], u)))
-        return out
+                ends = self.minimal.closure(cell.sign)
+                if ends.bit_count() == 1:
+                    u, p = self.minimal.cells[ends.bit_length() - 1].point, cell.point
+                    cells.append(cell)
+                    directions[cell] = _combine(u[-1], p, -p[-1], u)
+        return SignIndex(cells), directions
 
     def side_witness(self, cell: Cell, f: IVec, v: int, side: int) -> IVec | None:
         """A point X of the cell with side·(f·X) > 0, or None when there is
@@ -279,17 +326,18 @@ class _Faces:
             a = idot(f, line)
             if a:  # the form moves along L, which every cell contains
                 return _combine(abs(a), p, side * (abs(v) + 1) * (1 if a > 0 else -1), line)
-        mask = sign_mask(cell.sign)
-        for m, u in self.minimal:
-            if mask_in_closure(m, mask):
-                a = idot(f, u)
-                if side * a > 0:  # a point of [p, u), which lies in the cell
-                    return _combine(abs(a), p, abs(v) + abs(a), u)
-        for m, d in self.rays:
-            if mask_in_closure(m, mask):
-                a = idot(f, d)
-                if side * a > 0:
-                    return _combine(abs(a), p, abs(v) + 1, d)
+        minimal = self.minimal
+        for face in minimal.members(minimal.closure(cell.sign)):
+            u = face.point
+            a = idot(f, u)
+            if side * a > 0:  # a point of [p, u), which lies in the cell
+                return _combine(abs(a), p, abs(v) + abs(a), u)
+        rays, directions = self.rays
+        for ray in rays.members(rays.closure(cell.sign)):
+            d = directions[ray]
+            a = idot(f, d)
+            if side * a > 0:
+                return _combine(abs(a), p, abs(v) + 1, d)
         return None
 
 
@@ -359,13 +407,17 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
         for j in range(width):
             coords.append(CoordInfo(NODE, i, j, bha=any(layer.rows[j][:-1])))
         # each piece with the pre-activation map of its previous-layer cell
-        # and that map's node forms as primitive integer vectors
+        # and that map's node forms as primitive integer vectors, computed
+        # once per prefix: cells of one activation pattern share one prefix
+        shared: dict[int, tuple[AffineMap, list[IVec]]] = {}
         pieces: list[tuple[Cell, AffineMap, list[IVec]]] = []
         for cell in cells.values():
-            pre = layer.compose(cell.prefix)
-            forms = [primitive(r) for r in pre.rows]
+            if id(cell.prefix) not in shared:
+                pre = layer.compose(cell.prefix)
+                shared[id(cell.prefix)] = pre, [primitive(r) for r in pre.rows]
+            pre, forms = shared[id(cell.prefix)]
             for j, f in enumerate(forms):
-                if cell.eq_basis.contains(f[:-1]) and idot(f, cell.point) == 0:
+                if idot(f, cell.point) == 0 and cell.eq_basis.contains(f[:-1]):
                     failures.add(NodeRef(i, j))
             pieces.append((cell, pre, forms))
         for j in range(width):
@@ -378,15 +430,23 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
             if i == 0:
                 lineality = _orthogonal_part(lineality, primitive((*layer.rows[j][:-1], 0)))
         cells = {}
+        masked: dict[tuple[int, tuple[int, ...]], AffineMap] = {}
         for piece, pre, _ in pieces:
             bits = tuple(1 if s > 0 else 0 for s in piece.sign[-width:])
-            piece.prefix = pre.masked(bits)
+            if (id(pre), bits) not in masked:
+                masked[id(pre), bits] = pre.masked(bits)
+            piece.prefix = masked[id(pre), bits]
             cells[piece.sign] = piece
-    cpx = CanonicalComplex(n0, tuple(coords), cells, net, node_failures=frozenset(failures))
+    cpx = CanonicalComplex(
+        n0, tuple(coords), cells, net, node_failures=frozenset(failures), lineality=tuple(lineality)
+    )
     if upto == m:
         out = net.output_layer
+        restrictions: dict[int, AffineMap] = {}
         for cell in cells.values():
-            cell.restriction = out.compose(cell.prefix)
+            if id(cell.prefix) not in restrictions:
+                restrictions[id(cell.prefix)] = out.compose(cell.prefix)
+            cell.restriction = restrictions[id(cell.prefix)]
     return cpx
 
 
@@ -403,9 +463,7 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
     require_restrictions(cpx)
     t = Fraction(t)
     p, q = t.numerator, t.denominator
-    first = cpx.network.layers[0].weights
-    lineality = [primitive_form(line, 0) for line in nullspace(first, cpx.ambient_dim)]
-    faces = _Faces(list(cpx.cells.values()), lineality)
+    faces = _Faces(list(cpx.cells.values()), cpx.lineality)
     refined: dict[tuple[int, ...], Cell] = {}
     for cell in cpx.cells.values():
         # F - t = (w'·x + c')/den - p/q, a positive multiple of (q·w', q·c' - p·den)
@@ -415,7 +473,9 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
             child.restriction = cell.restriction
             refined[child.sign] = child
     coords = cpx.coords + (CoordInfo(LEVEL, -1, 0, False),)
-    return CanonicalComplex(cpx.ambient_dim, coords, refined, cpx.network, t, cpx.node_failures)
+    return CanonicalComplex(
+        cpx.ambient_dim, coords, refined, cpx.network, t, cpx.node_failures, lineality=cpx.lineality
+    )
 
 
 # --- queries ----------------------------------------------------------------
@@ -465,11 +525,9 @@ def cell_bounded(cpx: CanonicalComplex, cell: Cell) -> bool:
         elif cell.dim == 1:
             _edge_bounded(cpx, cell)
         else:
-            edges = cpx.edge_masks
-            mask = sign_mask(cell.sign)
-            cell.bounded = edges is not None and all(
-                _edge_bounded(cpx, edge) for m, edge in edges if mask_in_closure(m, mask)
-            )
+            index = cpx.index
+            edges = index.members(index.closure(cell.sign) & index.of_dim(1))
+            cell.bounded = bool(index.of_dim(0)) and all(_edge_bounded(cpx, e) for e in edges)
     return cell.bounded
 
 
@@ -477,8 +535,8 @@ def _edge_bounded(cpx: CanonicalComplex, edge: Cell) -> bool:
     """Whether the closed 1-cell is a segment: exactly two 0-cells lie in
     its closure, where a ray has one and a line none."""
     if edge.bounded is None:
-        mask = sign_mask(edge.sign)
-        edge.bounded = sum(mask_in_closure(m, mask) for m in cpx.vertex_masks) == 2
+        index = cpx.index
+        edge.bounded = (index.closure(edge.sign) & index.of_dim(0)).bit_count() == 2
     return edge.bounded
 
 

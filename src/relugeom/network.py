@@ -35,6 +35,9 @@ class ReluNetwork:
     def __post_init__(self):
         if len(self.layers) < 2:
             raise ValueError("a network needs at least one hidden layer plus the output map")
+        for k, layer in enumerate(self.layers):
+            if not layer.out_dim:
+                raise ValueError(f"layer {k} has no units")
         for inner, outer in zip(self.layers, self.layers[1:]):
             if inner.out_dim != outer.in_dim:
                 raise ValueError("layer dimensions do not chain")

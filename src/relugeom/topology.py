@@ -2,9 +2,10 @@
 
 The threshold-refined complex classifies every cell into N = {F < t},
 B = {F = t}, or Y = {F > t} by its trailing sign.  Connected components of
-each region are computed by union-find over the face relation, which matches
-topological components because every path through an open polyhedral union
-can be pushed through relative interiors of shared faces.  The 1-skeleton of
+each region are computed by a breadth-first search over the face relation,
+read off the complex's ``SignIndex``, which matches topological components
+because every path through an open polyhedral union can be pushed through
+relative interiors of shared faces.  The 1-skeleton of
 the unrefined complex carries the partial orientation in which F increases;
 bounded components are certified by flat extremal subgraphs whose incident
 boundary-crossing edges all point the same way.
@@ -19,15 +20,14 @@ from .complexes import (
     RAY,
     SEGMENT,
     CanonicalComplex,
+    Cell,
     as_complex,
     cell_bounded,
     cell_is_constant,
     edge_geometry,
-    mask_in_closure,
     refine_by_threshold,
     require_restrictions,
     sign_key,
-    sign_mask,
 )
 from .linalg import Vec, dot, rat_str
 from .network import ReluNetwork, network_to_json
@@ -56,30 +56,6 @@ class NonTransversalThresholdError(ValueError):
             f"threshold {rat_str(t)} is not transversal; "
             f"every threshold in ({lo}, {rat_str(t)}) or ({rat_str(t)}, {hi}) is"
         )
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 @dataclass
@@ -124,20 +100,26 @@ class DecisionTopology:
         }
 
 
-def _region_components(cpx: CanonicalComplex, keys: list[tuple[int, ...]]) -> list[list]:
-    """Connected components of a set of cells under the face relation, each
-    in key order and ordered by their least keys: a function of the keys
-    alone, not of the order in which construction met the cells."""
-    uf = _UnionFind(keys)
-    masks = {k: sign_mask(k) for k in keys}
-    # a proper face has fewer nonzero signs, so it sorts before its cells
-    by_zeros = sorted(keys, key=lambda k: masks[k].bit_count())
-    for i, kf in enumerate(by_zeros):
-        mf = masks[kf]
-        for kc in by_zeros[i + 1 :]:
-            if mask_in_closure(mf, masks[kc]):
-                uf.union(kf, kc)
-    return sorted(sorted(group) for group in uf.groups().values())
+def _region_components(cpx: CanonicalComplex, region: int) -> list[list[Cell]]:
+    """Connected components under the face relation of the cells in the
+    bitset ``region`` of ``cpx.index``, each in key order and ordered by
+    their least keys: a function of the keys alone, not of the order in
+    which construction met the cells.  A breadth-first search, each step to
+    the faces and cofaces of the cells just reached."""
+    index = cpx.index
+    comps = []
+    while region:
+        comp = frontier = region & -region
+        region ^= comp
+        while frontier:
+            reach = 0
+            for cell in index.members(frontier):
+                reach |= index.closure(cell.sign) | index.star(cell.sign)
+            frontier = reach & region
+            region ^= frontier
+            comp |= frontier
+        comps.append(index.members(comp))
+    return comps
 
 
 def decision_topology(source: CanonicalComplex | ReluNetwork, t: Fraction) -> DecisionTopology:
@@ -148,15 +130,16 @@ def decision_topology(source: CanonicalComplex | ReluNetwork, t: Fraction) -> De
     if t in bad:
         raise NonTransversalThresholdError(t, bad)
     refined = refine_by_threshold(cpx, t)
-    by_region: dict[int, list] = {1: [], 0: [], -1: []}
-    for key in refined.cells:
-        by_region[key[-1]].append(key)
+    index = refined.index
+    # the trailing coordinate is the sign of F - t
+    yes, no = index.plus[-1], index.minus[-1]
+    regions = {YES: yes, BOUNDARY: index.all & ~(yes | no), NO: no}
     out: dict[str, tuple[RegionComponent, ...]] = {}
-    for region, trailing in _TRAILING.items():
+    for region, bits in regions.items():
         comps = []
-        for members in _region_components(refined, by_region[trailing]):
-            bounded = all(cell_bounded(refined, refined.cells[k]) for k in members)
-            comps.append(RegionComponent(region, tuple(members), bounded))
+        for members in _region_components(refined, bits):
+            bounded = all(cell_bounded(refined, cell) for cell in members)
+            comps.append(RegionComponent(region, tuple([cell.sign for cell in members]), bounded))
         out[region] = tuple(comps)
     return DecisionTopology(t, out[YES], out[BOUNDARY], out[NO], refined, cpx)
 
@@ -282,18 +265,11 @@ def max_subgraph(
     base = topology.base
     trailing = _TRAILING[region]
     member = set(comp.cells)
-    member_masks = [sign_mask(k) for k in member]
-
-    def in_closure(key) -> bool:
-        mask = sign_mask(key)
-        return any(mask_in_closure(mask, m) for m in member_masks)
-
-    closure_vertices = [
-        (key, cell)
-        for key, cell in refined.cells.items()
-        if cell.dim == 0 and in_closure(key)
-    ]
-    values = {key: cell.witness_value() for key, cell in closure_vertices}
+    index = refined.index
+    closure = 0
+    for key in comp.cells:
+        closure |= index.closure(key)
+    values = {cell.sign: cell.witness_value() for cell in index.members(closure & index.of_dim(0))}
     extreme = max(values.values()) if region == YES else min(values.values())
 
     flat_vertices = sorted(k[:-1] for k, v in values.items() if v == extreme)

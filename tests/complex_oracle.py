@@ -28,6 +28,7 @@ from relugeom.linalg import (
     dot,
     homogeneous,
     is_zero_vec,
+    nullspace,
     primitive_form,
     zeros,
 )
@@ -116,7 +117,10 @@ def build_complex(net: ReluNetwork) -> CanonicalComplex:
         cells = nxt
     for cell in cells.values():
         cell.restriction = net.output_layer.compose(cell.prefix)
-    return CanonicalComplex(n0, tuple(coords), cells, net, node_failures=frozenset(failures))
+    lineality = tuple(primitive_form(line, 0) for line in nullspace(net.layers[0].weights, n0))
+    return CanonicalComplex(
+        n0, tuple(coords), cells, net, node_failures=frozenset(failures), lineality=lineality
+    )
 
 
 def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
@@ -130,4 +134,6 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
             child.restriction = cell.restriction
             refined[child.sign] = child
     coords = cpx.coords + (CoordInfo(LEVEL, -1, 0, False),)
-    return CanonicalComplex(cpx.ambient_dim, coords, refined, cpx.network, t, cpx.node_failures)
+    return CanonicalComplex(
+        cpx.ambient_dim, coords, refined, cpx.network, t, cpx.node_failures, lineality=cpx.lineality
+    )

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cellhelpers import mask_in_closure, sign_mask
 from conftest import net_of
 from relugeom.arrangement import (
     CoorientedArrangement,
@@ -19,7 +20,7 @@ from relugeom.arrangement import (
     region_interior_point,
     vertices_adjacent,
 )
-from relugeom.complexes import build_complex, mask_in_closure, sign_mask
+from relugeom.complexes import build_complex
 from relugeom.linalg import dot, rank, solve_square, vec
 from relugeom.lp import LinearSystem, recession_cone_is_trivial
 

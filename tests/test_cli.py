@@ -415,8 +415,12 @@ OUTPUT_LAYER = {"W": [["1"]], "b": ["0"]}
         ({"layers": 5}, "needs a 'layers' list"),
         ({"layers": [{"W": [[True]], "b": ["0"]}, OUTPUT_LAYER]}, "W[0][0]: refusing boolean True"),
         ({"layers": [{"W": [[0.5]], "b": ["0"]}, OUTPUT_LAYER]}, "W[0][0]: refusing inexact float 0.5"),
+        (
+            {"layers": [{"W": [["1", "1"]], "b": ["0"]}, {"W": [], "b": []}, {"W": [[]], "b": ["0"]}]},
+            "layer 1 has no units",
+        ),
     ],
-    ids=["layers-not-a-list", "boolean-weight", "float-weight"],
+    ids=["layers-not-a-list", "boolean-weight", "float-weight", "zero-width-layer"],
 )
 def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
     bad = tmp_path / "bad.json"

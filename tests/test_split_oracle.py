@@ -14,10 +14,11 @@ from fractions import Fraction
 import pytest
 
 import complex_oracle
+from cellhelpers import mask_in_closure, sign_mask
 from conftest import net_of, random_net
 from relugeom import complexes, lp, topology
 from relugeom.cli import auto_threshold
-from relugeom.complexes import complex_to_json, mask_in_closure, sign_mask
+from relugeom.complexes import complex_to_json
 from relugeom.linalg import dot, idot
 
 ARCHITECTURES = [
@@ -53,14 +54,27 @@ def sample_nets():
 def split_case(faces, cell, f, side) -> int:
     """Which of the four cases decides a side: 1 the form moves along the
     lineality space, 2 a minimal face of the closure lies on that side, 3 a
-    ray of the closure points into it, 4 the side misses the cell."""
+    ray of the closure points into it, 4 the side misses the cell.  The
+    minimal faces (the dim L-cells) and the rays (the (dim L + 1)-cells with
+    one minimal face in their closure) are found here from the cells and
+    the mask oracle, apart from the split's own index."""
     if any(idot(f, line) for line in faces.lineality):
         return 1
+    k = len(faces.lineality)
+    minimal = [(sign_mask(c.sign), c.point) for c in faces.cells if c.dim == k]
     mask = sign_mask(cell.sign)
-    if any(mask_in_closure(m, mask) and side * idot(f, u) > 0 for m, u in faces.minimal):
+    if any(mask_in_closure(m, mask) and side * idot(f, u) > 0 for m, u in minimal):
         return 2
-    if any(mask_in_closure(m, mask) and side * idot(f, d) > 0 for m, d in faces.rays):
-        return 3
+    for ray in faces.cells:
+        m = sign_mask(ray.sign)
+        if ray.dim != k + 1 or not mask_in_closure(m, mask):
+            continue
+        ends = [u for mu, u in minimal if mask_in_closure(mu, m)]
+        if len(ends) == 1:
+            u, p = ends[0], ray.point
+            direction = [u[-1] * x - p[-1] * y for x, y in zip(p, u)]
+            if side * idot(f, direction) > 0:
+                return 3
     return 4
 
 

@@ -1,10 +1,14 @@
 import hashlib
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import fig1_net, simplex_net
-from relugeom.complexes import build_complex
+from conftest import fig1_net, net_of, simplex_net
+from relugeom.cli import auto_threshold
+from relugeom.complexes import build_complex, complex_to_json
+from relugeom.linalg import nullspace, primitive_form
 from relugeom.svg import default_bbox, render_svg
 from relugeom.topology import decision_topology
 
@@ -57,3 +61,39 @@ def test_non_planar_rejected():
     topo = decision_topology(build_complex(net), Fraction(1, 3))
     with pytest.raises(ValueError):
         render_svg(topo)
+
+
+
+def test_outputs_do_not_depend_on_the_lineality_basis():
+    """refine_by_threshold takes the lineality basis that build_complex
+    keeps.  F is constant along L, so the level form never moves along a
+    basis direction and only dim L counts: on nets whose first layer has
+    rank < n, a basis taken from the nullspace of the first layer gives the
+    same refinement, witnesses and SVG included."""
+    rng = random.Random(1414)
+    moved = 0
+    for k in range(40):
+        n = 2 + k % 2
+        # first-layer rows in the span of u and v: rank 1 for n = 2, 2 for n = 3
+        u = [rng.randint(-3, 3) for _ in range(n - 1)] + [1]
+        v = [rng.randint(-3, 3) for _ in range(n)] if n == 3 else [0] * n
+        first = []
+        for _ in range(4):
+            a, b = rng.randint(-2, 2) or 1, rng.randint(-2, 2)
+            first.append([a * x + b * y for x, y in zip(u, v)])
+        bias = [rng.randint(-3, 3) for _ in first]
+        net = net_of((first, bias), ([[rng.randint(-3, 3) for _ in first]], [0]))
+        cpx = build_complex(net)
+        basis = nullspace(net.layers[0].weights, n)
+        other = replace(cpx, lineality=tuple(primitive_form(d, 0) for d in basis))
+        moved += other.lineality != cpx.lineality
+        t = auto_threshold(cpx)
+        topo, alt = decision_topology(cpx, t), decision_topology(other, t)
+        assert topo.to_json() == alt.to_json()
+        assert complex_to_json(topo.complex) == complex_to_json(alt.complex)
+        assert {k: c.point for k, c in topo.complex.cells.items()} == {
+            k: c.point for k, c in alt.complex.cells.items()
+        }
+        if n == 2:
+            assert render_svg(topo) == render_svg(alt)
+    assert moved >= 10
