@@ -22,7 +22,6 @@ from .linalg import (
     dot,
     homogeneous,
     is_zero_vec,
-    primitive_form,
     rank,
     vec,
 )
@@ -219,7 +218,9 @@ def face_of_positive_region(a: CoorientedArrangement, theta: RegionCode):
     """The theta-face of the closed all-positive region of a generic n-of-n
     arrangement: coordinates with bit 0 become equalities.  For the standard
     coordinate arrangement this is the Hadamard projection theta ⊙ closure(R_1);
-    in general it is the preimage of that face under the layer's affine map."""
+    in general it is the preimage of that face under the layer's affine map.
+    The cell holds its sign (1 or 0 per hyperplane), a witness of its
+    relative interior and its dimension; the hyperplanes are its forms."""
     n = a.ambient_dim
     if len(a.hyperplanes) != n:
         raise ValueError("face stratification needs exactly n hyperplanes in R^n")
@@ -239,10 +240,8 @@ def face_of_positive_region(a: CoorientedArrangement, theta: RegionCode):
     for (w, _), bit in zip(a.hyperplanes, theta):
         if not bit:
             basis.add(w)
-    forms = [primitive_form(w, b) for w, b in a.hyperplanes]
     return Cell(
         sign=sign,
-        rows=tuple((f[:-1], f[-1]) for f in forms),
         point=homogeneous(witness),
         dim=n - basis.rank,
         eq_basis=basis,

@@ -2,9 +2,11 @@
 
 Input space is carved into cells keyed by ternary sign vectors: one
 coordinate per hidden unit (layer-major order), holding the sign of that
-unit's pre-activation node map on the cell.  A cell's H-representation lists
-the node-map affine forms composed through the cell's own masked prefix;
-+/- coordinates are strict inequalities, 0 coordinates are equalities.  The
+unit's pre-activation node map on the cell.  A cell stores its sign vector,
+a witness point, its dimension, the span of its equality normals and the
+affine maps of its activation pattern.  Its faces, vertices and edge
+geometry are read off the face lattice; its H-representation, which only
+polygon clipping needs, is recomposed on demand by ``cell_forms``.  The
 network is affine on every cell, and the stored restriction realizes that
 affine map exactly.
 
@@ -46,18 +48,13 @@ from typing import Iterable, Sequence
 from .affine import AffineMap
 from .linalg import (
     IVec,
-    LinearSystem,
     Row,
     RowBasis,
     Vec,
     dot,
     idot,
-    is_zero_vec,
-    nullspace,
     primitive,
     rat_str,
-    vadd,
-    vscale,
     vsub,
 )
 from .network import NodeRef, ReluNetwork
@@ -81,7 +78,6 @@ class Cell:
     """One cell: the set where every tracked affine form has its stored sign."""
 
     sign: tuple[int, ...]
-    rows: tuple[Row, ...]  # each (w, c) a primitive integer form
     point: IVec  # the witness, a point of the relative interior, as (X, d)
     dim: int
     eq_basis: RowBasis
@@ -98,38 +94,6 @@ class Cell:
         d = self.point[-1]
         return tuple(Fraction(x, d) for x in self.point[:-1])
 
-    def system(self, closed: bool = False) -> tuple[LinearSystem, tuple[int, ...]]:
-        """The cell as a LinearSystem plus the strict inequality indices
-        (empty when closed=True, giving the cell's closure)."""
-        n = len(self.point) - 1
-        ineqs: list[Row] = []
-        eqs: list[Row] = []
-        for (w, c), s in zip(self.rows, self.sign):
-            if is_zero_vec(w):
-                continue
-            if s > 0:
-                ineqs.append((w, c))
-            elif s < 0:
-                ineqs.append((tuple(-x for x in w), -c))
-            else:
-                eqs.append((w, c))
-        strict = () if closed else tuple(range(len(ineqs)))
-        return LinearSystem(n, tuple(ineqs), tuple(eqs)), strict
-
-    def contains(self, x: Sequence[Fraction], closed: bool = False) -> bool:
-        for (w, c), s in zip(self.rows, self.sign):
-            v = dot(w, x) + c
-            if s == 0:
-                if v != 0:
-                    return False
-            elif s > 0:
-                if v < 0 or (v == 0 and not closed):
-                    return False
-            else:
-                if v > 0 or (v == 0 and not closed):
-                    return False
-        return True
-
     def value(self, x: Sequence[Fraction]) -> Fraction:
         return self.restriction.apply(x)[0]
 
@@ -141,11 +105,6 @@ class Cell:
 
 def sign_key(sign: Sequence[int]) -> str:
     return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in sign)
-
-
-def parse_sign_key(key: str) -> tuple[int, ...]:
-    table = {"+": 1, "-": -1, "0": 0}
-    return tuple(table[ch] for ch in key)
 
 
 def cell_is_constant(cell: Cell) -> bool:
@@ -171,9 +130,6 @@ class CanonicalComplex:
 
     def sorted_cells(self) -> list[Cell]:
         return [self.cells[k] for k in sorted(self.cells)]
-
-    def cells_of_dim(self, k: int) -> list[Cell]:
-        return [c for c in self.sorted_cells() if c.dim == k]
 
     @cached_property
     def index(self) -> SignIndex:
@@ -270,14 +226,13 @@ def face_pairs(cpx: CanonicalComplex) -> Iterable[tuple[tuple[int, ...], tuple[i
 
 
 def _extend(cell: Cell, f: IVec, s: int, point: IVec, add_eq: bool = False) -> Cell:
-    w = f[:-1]
     basis = cell.eq_basis
     dim = cell.dim
     if add_eq:
         basis = basis.copy()
-        basis.add(w)
+        basis.add(f[:-1])
         dim -= 1
-    return Cell(cell.sign + (s,), cell.rows + ((w, f[-1]),), point, dim, basis, cell.prefix)
+    return Cell(cell.sign + (s,), point, dim, basis, cell.prefix)
 
 
 def _combine(a: int, p: IVec, b: int, q: IVec) -> IVec:
@@ -394,7 +349,7 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
     upto = m if through_layers is None else through_layers
     if not 0 <= upto <= m:
         raise ValueError(f"through_layers must lie in [0, {m}]")
-    root = Cell((), (), (0,) * n0 + (1,), n0, RowBasis(n0), AffineMap.identity(n0))
+    root = Cell((), (0,) * n0 + (1,), n0, RowBasis(n0), AffineMap.identity(n0))
     cells: dict[tuple[int, ...], Cell] = {(): root}
     coords: list[CoordInfo] = []
     failures: set[NodeRef] = set()
@@ -462,20 +417,24 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
         raise ValueError("complex is already refined by a threshold")
     require_restrictions(cpx)
     t = Fraction(t)
-    p, q = t.numerator, t.denominator
     faces = _Faces(list(cpx.cells.values()), cpx.lineality)
     refined: dict[tuple[int, ...], Cell] = {}
     for cell in cpx.cells.values():
-        # F - t = (w'·x + c')/den - p/q, a positive multiple of (q·w', q·c' - p·den)
-        *w, c = cell.restriction.rows[0]
-        f = primitive((*(q * x for x in w), q * c - p * cell.restriction.den))
-        for child in _children(cell, f, faces):
+        for child in _children(cell, _level_form(cell.restriction, t), faces):
             child.restriction = cell.restriction
             refined[child.sign] = child
     coords = cpx.coords + (CoordInfo(LEVEL, -1, 0, False),)
     return CanonicalComplex(
         cpx.ambient_dim, coords, refined, cpx.network, t, cpx.node_failures, lineality=cpx.lineality
     )
+
+
+def _level_form(restriction: AffineMap, t: Fraction) -> IVec:
+    """F - t as a primitive integer form: F - t = (w'·x + c')/den - p/q is a
+    positive multiple of (q·w', q·c' - p·den)."""
+    *w, c = restriction.rows[0]
+    p, q = t.numerator, t.denominator
+    return primitive((*(q * x for x in w), q * c - p * restriction.den))
 
 
 # --- queries ----------------------------------------------------------------
@@ -568,22 +527,47 @@ def line_interval(rows: Iterable[Row], point: Vec, direction: Vec, lo=None, hi=N
     return lo, hi
 
 
-def edge_geometry(cell: Cell) -> tuple[str, Vec, Vec, Vec | None]:
-    """(kind, base, direction, end) of a 1-cell, exactly."""
-    system, _ = cell.system(closed=True)
-    dirs = nullspace(tuple(w for w, _ in system.equalities), len(cell.witness))
-    assert len(dirs) == 1, "edge geometry needs a 1-dimensional cell"
-    d = dirs[0]
-    lo, hi = line_interval(system.inequalities, cell.witness, d)
-    if lo is None and hi is None:
-        return LINE, cell.witness, d, None
-    if lo is None:  # a ray bounded above: point it the other way
-        d, lo, hi = tuple(-x for x in d), -hi, None
-    base = vadd(cell.witness, vscale(d, lo))
-    if hi is None:
-        return RAY, base, d, None
-    end = vadd(cell.witness, vscale(d, hi))
-    return SEGMENT, base, vsub(end, base), end
+def _last_nonzero(v: Sequence) -> Fraction:
+    return next(x for x in reversed(v) if x)
+
+
+def edge_geometry(cpx: CanonicalComplex, cell: Cell) -> tuple[str, Vec, Vec, Vec | None]:
+    """(kind, base, direction, end) of a 1-cell, exactly: a segment joins the
+    two 0-cells in its closure, with end - base last nonzero entry > 0; a ray
+    leaves its one 0-cell toward the witness; a line, with none, runs along
+    L.  Ray and line directions have last nonzero entry ±1 (+1 for a line)."""
+    assert cell.dim == 1, "edge geometry needs a 1-dimensional cell"
+    index = cpx.index
+    ends = [v.witness for v in index.members(index.closure(cell.sign) & index.of_dim(0))]
+    if len(ends) == 2:
+        base, end = ends
+        if _last_nonzero(vsub(end, base)) < 0:
+            base, end = end, base
+        return SEGMENT, base, vsub(end, base), end
+    if ends:
+        d = vsub(cell.witness, ends[0])
+        scale = abs(_last_nonzero(d))
+        return RAY, ends[0], tuple(x / scale for x in d), None
+    line = cpx.lineality[0][:-1]
+    scale = _last_nonzero(line)
+    return LINE, cell.witness, tuple(Fraction(x, scale) for x in line), None
+
+
+def cell_forms(cpx: CanonicalComplex, cell: Cell) -> tuple[Row, ...]:
+    """The cell's H-representation: per coordinate, the primitive integer
+    form (w, c) that has the coordinate's sign on the cell.  Node forms are
+    recomposed from the network through the cell's own masked prefixes."""
+    layers = cpx.network.layers[: len({co.layer for co in cpx.coords if co.kind == NODE})]
+    forms: list[IVec] = []
+    prefix = AffineMap.identity(cpx.ambient_dim)
+    for layer in layers:
+        pre = layer.compose(prefix)
+        signs = cell.sign[len(forms) : len(forms) + layer.out_dim]
+        forms += map(primitive, pre.rows)
+        prefix = pre.masked([int(s > 0) for s in signs])
+    if cpx.threshold is not None:
+        forms.append(_level_form(cell.restriction, cpx.threshold))
+    return tuple((f[:-1], f[-1]) for f in forms)
 
 
 def locate(cpx: CanonicalComplex, x: Sequence[Fraction]) -> Cell:

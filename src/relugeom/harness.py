@@ -62,6 +62,9 @@ class ExperimentConfig:
             raise ValueError("architecture must be (n0, ..., nm, 1)")
         if any(type(v) is not int or v < 1 for v in self.architecture):
             raise ValueError("architecture widths must be positive integers")
+        pair = self.threshold_range
+        if not isinstance(pair, tuple) or len(pair) != 2 or pair[0] > pair[1]:
+            raise ValueError("threshold_range must be a pair [lo, hi] with lo <= hi")
 
     def to_json(self) -> dict:
         out = {
@@ -96,8 +99,8 @@ class ExperimentConfig:
         if "threshold" in data and data["threshold"] is not None:
             kwargs["threshold"] = rat(data["threshold"])
         if "threshold_range" in data:
-            lo, hi = data["threshold_range"]
-            kwargs["threshold_range"] = (rat(lo), rat(hi))
+            pair = data["threshold_range"]
+            kwargs["threshold_range"] = tuple(map(rat, pair)) if isinstance(pair, list) else pair
         return ExperimentConfig(**kwargs)
 
 

@@ -13,7 +13,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .complexes import RAY, SEGMENT, CanonicalComplex, Cell, edge_geometry, line_interval, sign_key
+from .complexes import (
+    RAY,
+    SEGMENT,
+    CanonicalComplex,
+    Cell,
+    cell_forms,
+    edge_geometry,
+    line_interval,
+    sign_key,
+)
 from .linalg import Vec, dot, solve_square, vadd, vscale
 from .topology import DecisionTopology, oriented_skeleton
 
@@ -50,12 +59,15 @@ def _box_rows(bbox) -> list[tuple[Vec, Fraction]]:
     ]
 
 
-def _clip_cell_polygon(cell: Cell, bbox) -> list[Vec]:
+def _clip_cell_polygon(cpx: CanonicalComplex, cell: Cell, bbox) -> list[Vec]:
     """Vertices of the (convex) closed 2-cell intersected with the box, in
     angular order; empty when the intersection is lower-dimensional.  A
     2-cell of the plane has no equality rows, only degenerate ones."""
-    system, _ = cell.system(closed=True)
-    rows = list(system.inequalities) + _box_rows(bbox)
+    rows = [
+        (tuple(s * x for x in w), s * c)
+        for (w, c), s in zip(cell_forms(cpx, cell), cell.sign)
+        if s and any(w)
+    ] + _box_rows(bbox)
     candidates: set[Vec] = set()
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
@@ -170,7 +182,7 @@ def render_svg(topology: DecisionTopology, bbox=None) -> str:
         cell = refined.cells[key]
         if cell.dim != 2 or key[-1] == 0:
             continue
-        pts = _clip_cell_polygon(cell, bbox)
+        pts = _clip_cell_polygon(refined, cell, bbox)
         if pts:
             canvas.polygon(pts, YES_FILL if key[-1] > 0 else NO_FILL)
 
@@ -190,7 +202,7 @@ def render_svg(topology: DecisionTopology, bbox=None) -> str:
         cell = refined.cells[key]
         if key[-1] != 0 or cell.dim != 1:
             continue
-        kind, base_pt, direction, end = edge_geometry(cell)
+        kind, base_pt, direction, end = edge_geometry(refined, cell)
         clipped = _clip_edge(kind, base_pt, direction, end, bbox)
         if clipped is not None:
             canvas.line(clipped[0], clipped[1], LEVEL_COLOR, 3.0)

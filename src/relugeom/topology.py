@@ -209,7 +209,7 @@ def oriented_skeleton(source: CanonicalComplex | ReluNetwork) -> OrientedSkeleto
     for key, cell in cpx.cells.items():
         if cell.dim != 1:
             continue
-        kind, base, direction, end = edge_geometry(cell)
+        kind, base, direction, end = edge_geometry(cpx, cell)
         slope = dot(cell.restriction.row(0)[0], direction)
         orientation = 1 if slope > 0 else -1 if slope < 0 else 0
         edges[key] = SkeletonEdge(key, kind, base, direction, end, orientation)

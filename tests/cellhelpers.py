@@ -1,4 +1,6 @@
-"""Cell helpers that only tests need: random relative-interior points of a
+"""Cell helpers that only tests need: a cell's H-representation as a
+linear system, membership, the row-based edge geometry that
+``complexes.edge_geometry`` replaced, random relative-interior points of a
 cell, and the face relation on sign vectors one pair at a time, with the
 components it gives: the oracles of ``complexes.SignIndex`` and of
 ``topology._region_components``."""
@@ -6,8 +8,86 @@ components it gives: the oracles of ``complexes.SignIndex`` and of
 from fractions import Fraction
 from typing import Sequence
 
-from relugeom.complexes import line_interval
-from relugeom.linalg import Vec, is_zero_vec, nullspace, vadd, vscale, zeros
+from relugeom.complexes import LINE, RAY, SEGMENT, cell_forms, line_interval
+from relugeom.linalg import (
+    LinearSystem,
+    Row,
+    Vec,
+    dot,
+    is_zero_vec,
+    nullspace,
+    vadd,
+    vscale,
+    vsub,
+    zeros,
+)
+
+
+def rows_system(
+    rows: Sequence[Row], sign: Sequence[int], n: int, closed: bool = False
+) -> tuple[LinearSystem, tuple[int, ...]]:
+    """The set where each form (w, c) has its sign, as a LinearSystem on
+    R^n plus the strict inequality indices (empty when closed=True, giving
+    the closure).  Forms with w = 0 are left out."""
+    ineqs: list[Row] = []
+    eqs: list[Row] = []
+    for (w, c), s in zip(rows, sign):
+        if is_zero_vec(w):
+            continue
+        if s > 0:
+            ineqs.append((w, c))
+        elif s < 0:
+            ineqs.append((tuple(-x for x in w), -c))
+        else:
+            eqs.append((w, c))
+    strict = () if closed else tuple(range(len(ineqs)))
+    return LinearSystem(n, tuple(ineqs), tuple(eqs)), strict
+
+
+def system(cpx, cell, closed: bool = False) -> tuple[LinearSystem, tuple[int, ...]]:
+    """The cell of the complex as a LinearSystem, from ``cell_forms``."""
+    return rows_system(cell_forms(cpx, cell), cell.sign, cpx.ambient_dim, closed)
+
+
+def rows_contain(rows: Sequence[Row], sign: Sequence[int], x: Sequence[Fraction], closed=False) -> bool:
+    """Whether each form (w, c) has its sign at x (or is 0 there, when closed)."""
+    for (w, c), s in zip(rows, sign):
+        v = dot(w, x) + c
+        if s == 0:
+            if v != 0:
+                return False
+        elif s > 0:
+            if v < 0 or (v == 0 and not closed):
+                return False
+        else:
+            if v > 0 or (v == 0 and not closed):
+                return False
+    return True
+
+
+def contains(cpx, cell, x: Sequence[Fraction], closed: bool = False) -> bool:
+    """Whether x lies in the cell of the complex (or in its closure)."""
+    return rows_contain(cell_forms(cpx, cell), cell.sign, x, closed)
+
+
+def row_edge_geometry(cpx, cell) -> tuple[str, Vec, Vec, Vec | None]:
+    """(kind, base, direction, end) of a 1-cell from its rows: the
+    direction spans the nullspace of the equality rows, and the
+    inequalities cut its interval through the witness."""
+    closed, _ = system(cpx, cell, closed=True)
+    dirs = nullspace(tuple(w for w, _ in closed.equalities), len(cell.witness))
+    assert len(dirs) == 1, "edge geometry needs a 1-dimensional cell"
+    d = dirs[0]
+    lo, hi = line_interval(closed.inequalities, cell.witness, d)
+    if lo is None and hi is None:
+        return LINE, cell.witness, d, None
+    if lo is None:  # a ray bounded above: point it the other way
+        d, lo, hi = tuple(-x for x in d), -hi, None
+    base = vadd(cell.witness, vscale(d, lo))
+    if hi is None:
+        return RAY, base, d, None
+    end = vadd(cell.witness, vscale(d, hi))
+    return SEGMENT, base, vsub(end, base), end
 
 
 def sign_mask(sign: Sequence[int]) -> int:
@@ -60,11 +140,11 @@ def is_face(face_sign: Sequence[int], cell_sign: Sequence[int]) -> bool:
     return face_sign != cell_sign and mask_in_closure(sign_mask(face_sign), sign_mask(cell_sign))
 
 
-def interior_points(cell, rng, count: int) -> list[Vec]:
+def interior_points(cpx, cell, rng, count: int) -> list[Vec]:
     """Random points of the cell's relative interior (the witness first)."""
     n = len(cell.witness)
-    system, _ = cell.system(closed=True)
-    dirs = nullspace(tuple(w for w, _ in system.equalities), n)
+    closed, _ = system(cpx, cell, closed=True)
+    dirs = nullspace(tuple(w for w, _ in closed.equalities), n)
     points = [cell.witness]
     attempts = 0
     while len(points) < count and attempts < 50 * count:
@@ -79,7 +159,7 @@ def interior_points(cell, rng, count: int) -> list[Vec]:
                 d = vadd(d, vscale(basis_dir, coeff))
         if is_zero_vec(d):
             continue
-        lo, hi = line_interval(system.inequalities, cell.witness, d)
+        lo, hi = line_interval(closed.inequalities, cell.witness, d)
         frac = Fraction(rng.randint(-7, 7), 8)
         if frac >= 0:
             step = frac * (hi if hi is not None else Fraction(2))

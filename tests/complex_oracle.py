@@ -4,13 +4,17 @@ This is how ``relugeom.complexes`` built and refined the complex before it
 read its splits off the face lattice: cell by cell, each cell split by all
 nodes of a layer in turn, and a point on the far side of each cut found by
 an exact strict-feasibility LP over the cell's own rows.  It is kept only as
-a test oracle: the LP-free construction must give the same complex.
+a test oracle: the LP-free construction must give the same complex.  Its
+cells keep the rows they were cut out by, which ``complexes.cell_forms``
+must recompute.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
+from cellhelpers import rows_system
 from relugeom import lp
 from relugeom.affine import AffineMap
 from relugeom.complexes import (
@@ -23,6 +27,7 @@ from relugeom.complexes import (
 )
 from relugeom.linalg import (
     LinearSystem,
+    Row,
     RowBasis,
     Vec,
     dot,
@@ -35,21 +40,31 @@ from relugeom.linalg import (
 from relugeom.network import NodeRef, ReluNetwork
 
 
-def _extend(cell: Cell, w: Vec, c: Fraction, s: int, witness: Vec, add_eq: bool = False) -> Cell:
+@dataclass(eq=False)
+class RowCell(Cell):
+    """A cell with its H-representation: per coordinate the primitive
+    integer form (w, c) whose sign on the cell is the coordinate's sign."""
+
+    rows: tuple[Row, ...] = ()
+
+
+def _extend(
+    cell: RowCell, w: Vec, c: Fraction, s: int, witness: Vec, add_eq: bool = False
+) -> RowCell:
     basis = cell.eq_basis
     dim = cell.dim
     if add_eq:
         basis = basis.copy()
         basis.add(w)
         dim -= 1
-    f = primitive_form(w, c)  # Cell rows and witnesses are integer vectors
+    f = primitive_form(w, c)  # rows and witnesses are integer vectors
     rows = cell.rows + ((f[:-1], f[-1]),)
-    return Cell(cell.sign + (s,), rows, homogeneous(witness), dim, basis, cell.prefix)
+    return RowCell(cell.sign + (s,), homogeneous(witness), dim, basis, cell.prefix, rows=rows)
 
 
-def side_witness(cell: Cell, w: Vec, c: Fraction, side: int) -> Vec | None:
+def side_witness(cell: RowCell, w: Vec, c: Fraction, side: int) -> Vec | None:
     """A point of the cell with side·(w·x + c) > 0, by LP, or None."""
-    system, strict = cell.system()
+    system, strict = rows_system(cell.rows, cell.sign, len(cell.witness))
     row = (w, c) if side > 0 else (tuple(-x for x in w), -c)
     extended = LinearSystem(system.dim, system.inequalities + (row,), system.equalities)
     return lp.feasible_point(extended, strict + (len(system.inequalities),))
@@ -62,7 +77,7 @@ def _cut_point(p: Vec, q: Vec, w: Vec, c: Fraction) -> Vec:
     return tuple(a + lam * (b - a) for a, b in zip(p, q))
 
 
-def children(cell: Cell, w: Vec, c: Fraction) -> list[Cell]:
+def children(cell: RowCell, w: Vec, c: Fraction) -> list[RowCell]:
     """Split a cell by the sign of the affine form w·x + c."""
     v = dot(w, cell.witness) + c
     if cell.eq_basis.contains(w):
@@ -91,15 +106,15 @@ def children(cell: Cell, w: Vec, c: Fraction) -> list[Cell]:
 def build_complex(net: ReluNetwork) -> CanonicalComplex:
     """The canonical complex, each previous-layer cell split node by node."""
     n0 = net.input_dim
-    root = Cell((), (), homogeneous(zeros(n0)), n0, RowBasis(n0), AffineMap.identity(n0))
-    cells: dict[tuple[int, ...], Cell] = {(): root}
+    root = RowCell((), homogeneous(zeros(n0)), n0, RowBasis(n0), AffineMap.identity(n0))
+    cells: dict[tuple[int, ...], RowCell] = {(): root}
     coords: list[CoordInfo] = []
     failures: set[NodeRef] = set()
     for i, layer in enumerate(net.layers[:-1]):
         width = layer.out_dim
         for j in range(width):
             coords.append(CoordInfo(NODE, i, j, bha=not is_zero_vec(layer.weights[j])))
-        nxt: dict[tuple[int, ...], Cell] = {}
+        nxt: dict[tuple[int, ...], RowCell] = {}
         for cell in cells.values():
             pre = layer.compose(cell.prefix)
             for j in range(width):
@@ -127,7 +142,7 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
     """Every cell split by the sign of F - t."""
     require_restrictions(cpx)
     t = Fraction(t)
-    refined: dict[tuple[int, ...], Cell] = {}
+    refined: dict[tuple[int, ...], RowCell] = {}
     for cell in cpx.cells.values():
         w, c = cell.restriction.row(0)
         for child in children(cell, w, c - t):

@@ -1,6 +1,7 @@
 """Shared network factories for the test suite."""
 
 import random
+from fractions import Fraction
 
 from relugeom.affine import AffineMap
 from relugeom.network import ReluNetwork
@@ -17,6 +18,18 @@ def random_net(rng: random.Random, arch, lo=-9, hi=9):
         b = [rng.randint(lo, hi) for _ in range(n_out)]
         layers.append((w, b))
     return net_of(*layers)
+
+
+def rational_net(rng: random.Random, arch, den: int):
+    """A net whose entries are k/den in [-2, 2]: its node forms need scaling
+    to integers."""
+    def entry():
+        return Fraction(rng.randint(-2 * den, 2 * den), den)
+
+    return net_of(*(
+        ([[entry() for _ in range(n_in)] for _ in range(n_out)], [entry() for _ in range(n_out)])
+        for n_in, n_out in zip(arch, arch[1:])
+    ))
 
 
 def relu_of_x():

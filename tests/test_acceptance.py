@@ -109,7 +109,7 @@ def test_criterion_03_linear_on_cells():
             net = random_net(rng, (2, 3, 2, 1), -9, 9)
             cpx = build_complex(net)
             for cell in cpx.cells.values():
-                for p in interior_points(cell, rng, 3):
+                for p in interior_points(cpx, cell, rng, 3):
                     assert cell.value(p) == evaluate(net, p)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cellhelpers import mask_in_closure, sign_mask
+from cellhelpers import mask_in_closure, rows_contain, sign_mask
 from conftest import net_of
 from relugeom.arrangement import (
     CoorientedArrangement,
@@ -317,8 +317,8 @@ def test_face_of_standard_all_ones_is_orthant():
     a = CoorientedArrangement.of(2, [((1, 0), 0), ((0, 1), 0)])
     cell = face_of_positive_region(a, (1, 1))
     assert cell.dim == 2
-    assert cell.contains(vec([1, 1]))
-    assert not cell.contains(vec([-1, 1]))
+    assert rows_contain(a.hyperplanes, cell.sign, vec([1, 1]))
+    assert not rows_contain(a.hyperplanes, cell.sign, vec([-1, 1]))
 
 
 def test_face_of_zero_code_is_origin():
@@ -333,9 +333,10 @@ def test_face_dimension_is_code_weight():
     cell = face_of_positive_region(a, (1, 0))
     assert cell.dim == 1
     # the nonnegative x-axis
-    assert cell.contains(vec([3, 0]))
-    assert not cell.contains(vec([0, 0]))  # relative interior excludes the origin
-    assert cell.contains(vec([0, 0]), closed=True)
+    assert rows_contain(a.hyperplanes, cell.sign, vec([3, 0]))
+    # the relative interior excludes the origin
+    assert not rows_contain(a.hyperplanes, cell.sign, vec([0, 0]))
+    assert rows_contain(a.hyperplanes, cell.sign, vec([0, 0]), closed=True)
 
 
 def test_face_of_general_arrangement_preimage():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cellhelpers import system
 from conftest import fig1_net, net_of, random_net
 from relugeom.cli import auto_threshold
 from relugeom.complexes import build_complex, cell_bounded, refine_by_threshold
@@ -15,8 +16,8 @@ ARCHITECTURES = [
 ]
 
 
-def lp_bounded(cell) -> bool:
-    return cell.dim == 0 or recession_cone_is_trivial(cell.system(closed=True)[0])
+def lp_bounded(cpx, cell) -> bool:
+    return cell.dim == 0 or recession_cone_is_trivial(system(cpx, cell, closed=True)[0])
 
 
 def test_face_lattice_matches_lp_oracle_on_random_complexes():
@@ -32,7 +33,7 @@ def test_face_lattice_matches_lp_oracle_on_random_complexes():
             no_vertex += 1
         for cell in cpx.sorted_cells():
             flag = cell_bounded(cpx, cell)
-            assert flag == lp_bounded(cell), (cpx.network, cell.sign)
+            assert flag == lp_bounded(cpx, cell), (cpx.network, cell.sign)
             bounded_high += flag and cell.dim >= 2
     assert no_vertex >= 1 and bounded_high >= 1, (no_vertex, bounded_high)
 

@@ -435,8 +435,18 @@ def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
         ({"distribution": "dyadic", "dyadic_exp": "3"}, "dyadic_exp must be an integer"),
         ({"threshold_retries": "4"}, "threshold_retries must be an integer"),
         ({"distribution": "dyadic", "dyadic_exp": -2}, "dyadic_exp must be nonnegative"),
+        ({"threshold_range": "x"}, "threshold_range must be a pair [lo, hi]"),
+        ({"threshold_range": 5}, "threshold_range must be a pair [lo, hi]"),
+        ({"threshold_range": ["1", "0"]}, "threshold_range must be a pair [lo, hi] with lo <= hi"),
     ],
-    ids=["string-dyadic-exp", "string-threshold-retries", "negative-dyadic-exp"],
+    ids=[
+        "string-dyadic-exp",
+        "string-threshold-retries",
+        "negative-dyadic-exp",
+        "string-threshold-range",
+        "number-threshold-range",
+        "reversed-threshold-range",
+    ],
 )
 def test_experiment_bad_field_exits_2(tmp_path, capsys, fields, message):
     cfg_path = tmp_path / "cfg.json"

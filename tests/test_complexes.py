@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cellhelpers import interior_points, is_face
+from cellhelpers import contains, interior_points, is_face
 from conftest import fig1_net, net_of, orthant_caveat_net, random_net, relu_of_x, simplex_net
 from relugeom.complexes import (
     activation_regions,
@@ -41,7 +41,7 @@ def test_single_relu_line_three_cells():
 def test_witness_lies_in_its_cell():
     cpx = build_complex(fig1_net())
     for cell in cpx.cells.values():
-        assert cell.contains(cell.witness)
+        assert contains(cpx, cell, cell.witness)
 
 
 def test_restriction_equals_evaluation_on_cells():
@@ -49,7 +49,7 @@ def test_restriction_equals_evaluation_on_cells():
     net = random_net(rng, (2, 2, 2, 1))
     cpx = build_complex(net)
     for cell in cpx.cells.values():
-        for p in interior_points(cell, rng, 3):
+        for p in interior_points(cpx, cell, rng, 3):
             assert cell.value(p) == evaluate(net, p)
 
 
@@ -73,7 +73,7 @@ def test_restriction_equals_evaluation_on_rational_nets(arch, den):
         for cell in cpx.cells.values():
             dens.add(cell.restriction.den)
             assert cell.witness_value() == evaluate(net, cell.witness)
-            for p in interior_points(cell, rng, 3):
+            for p in interior_points(cpx, cell, rng, 3):
                 assert cell.value(p) == evaluate(net, p)
     assert max(dens) > den, dens
 
@@ -84,7 +84,7 @@ def test_partition_every_point_in_exactly_one_cell():
     cpx = build_complex(net)
     for _ in range(200):
         x = vec([Fraction(rng.randint(-60, 60), rng.randint(1, 4)) for _ in range(2)])
-        hits = [c for c in cpx.cells.values() if c.contains(x)]
+        hits = [c for c in cpx.cells.values() if contains(cpx, c, x)]
         assert len(hits) == 1
         assert locate(cpx, x) is hits[0]
 
@@ -109,7 +109,7 @@ def test_orthant_caveat_bha_contains_a_two_cell():
     # the full-dimensional BHA cell is the (open) all-negative orthant
     fat = [c for c in bha if c.dim == 2]
     assert len(fat) == 1
-    assert fat[0].contains(vec([-1, -1]))
+    assert contains(cpx, fat[0], vec([-1, -1]))
     assert fat[0].sign[:2] == (-1, -1)
 
 
@@ -117,7 +117,7 @@ def test_orthant_caveat_regions_miss_negative_orthant():
     cpx = build_complex(orthant_caveat_net())
     regions = activation_regions(cpx)
     for cell in regions:
-        assert not cell.contains(vec([-1, -1]))
+        assert not contains(cpx, cell, vec([-1, -1]))
     # the four remaining full-dimensional pieces around the other quadrants
     assert all(cell.dim == 2 for cell in regions)
 
@@ -184,7 +184,7 @@ def test_central_triangle_is_bounded():
     # x > 0, y > 0, x + y < 1
     triangle = cpx.cells[(1, 1, -1)]
     assert cell_bounded(cpx, triangle)
-    assert triangle.contains(vec(["1/4", "1/4"]))
+    assert contains(cpx, triangle, vec(["1/4", "1/4"]))
 
 
 def test_refine_below_minimum_splits_nothing():
@@ -208,7 +208,7 @@ def test_refinement_is_a_subdivision():
     refined = refine_by_threshold(cpx, Fraction(1, 3))
     for key, cell in refined.cells.items():
         parent = cpx.cells[key[:-1]]
-        assert parent.contains(cell.witness, closed=True)
+        assert contains(cpx, parent, cell.witness, closed=True)
         assert cell.dim <= parent.dim
 
 
@@ -233,7 +233,7 @@ def test_face_pairs_are_geometric_faces():
         face, cell = cpx.cells[kf], cpx.cells[kc]
         assert is_face(kf, kc)
         assert face.dim < cell.dim
-        assert cell.contains(face.witness, closed=True)
+        assert contains(cpx, cell, face.witness, closed=True)
 
 
 def test_complex_json_is_sorted_and_complete():

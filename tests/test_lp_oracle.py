@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import cellhelpers
 import lp_oracle
 from relugeom import arrangement, complexes, lp, topology
 from relugeom.harness import ExperimentConfig, run_trial
@@ -176,8 +177,8 @@ def trial_lps(monkeypatch):
         run_trial(cfg, index)
     for cpx in refined:
         for cell in cpx.sorted_cells():
-            lp.recession_cone_is_trivial(cell.system(closed=True)[0])
-            system, strict = cell.system()
+            lp.recession_cone_is_trivial(cellhelpers.system(cpx, cell, closed=True)[0])
+            system, strict = cellhelpers.system(cpx, cell)
             calls.append((system, strict, None, False))
     monkeypatch.undo()
     return calls

@@ -6,9 +6,8 @@ keep every byte."""
 import hashlib
 import json
 import random
-from fractions import Fraction
 
-from conftest import net_of, random_net
+from conftest import net_of, random_net, rational_net
 from relugeom.cli import auto_threshold
 from relugeom.complexes import build_complex, complex_to_json, sign_key
 from relugeom.linalg import rat_str
@@ -25,16 +24,6 @@ def rank_one_net(rng: random.Random, width: int):
     first = [[a * x for x in u] for a in (rng.choice([-2, -1, 1, 2, 3]) for _ in range(width))]
     bias = [rng.randint(-4, 4) for _ in range(width)]
     return net_of((first, bias), ([[rng.randint(-3, 3) or 1 for _ in range(width)]], [0]))
-
-
-def rational_net(rng: random.Random, arch, den: int):
-    def entry():
-        return Fraction(rng.randint(-2 * den, 2 * den), den)
-
-    return net_of(*(
-        ([[entry() for _ in range(n_in)] for _ in range(n_out)], [entry() for _ in range(n_out)])
-        for n_in, n_out in zip(arch, arch[1:])
-    ))
 
 
 def planar_nets():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cellhelpers import contains
 from conftest import net_of, random_net
 from relugeom.complexes import (
     activation_regions,
@@ -30,7 +31,7 @@ def test_coincident_node_hyperplanes():
     assert set(cpx.cells) == {(1, 1), (-1, -1), (0, 0)}
     assert cpx.cells[(0, 0)].dim == 1
     for x in [vec([3, 1]), vec([-2, 5]), vec([0, -7])]:
-        assert locate(cpx, x).contains(x)
+        assert contains(cpx, locate(cpx, x), x)
 
 
 def test_opposite_coorientations_share_line():
@@ -114,7 +115,7 @@ def test_deep_partition_and_boundedness():
         for _ in range(40):
             x = vec([Fraction(rng.randint(-50, 50), 7) for _ in range(2)])
             cell = locate(cpx, x)
-            assert cell.contains(x)
+            assert contains(cpx, cell, x)
             assert cell.value(x) == evaluate(net, x)
         # a cell of full dimension with a bounded closure must have vertices
         for cell in cpx.cells.values():
@@ -122,6 +123,6 @@ def test_deep_partition_and_boundedness():
                 faces = [
                     c
                     for c in cpx.cells.values()
-                    if c.dim == 0 and cell.contains(c.witness, closed=True)
+                    if c.dim == 0 and contains(cpx, cell, c.witness, closed=True)
                 ]
                 assert len(faces) >= 3

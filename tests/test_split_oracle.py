@@ -14,11 +14,11 @@ from fractions import Fraction
 import pytest
 
 import complex_oracle
-from cellhelpers import mask_in_closure, sign_mask
-from conftest import net_of, random_net
+from cellhelpers import contains, mask_in_closure, sign_mask
+from conftest import rational_net, random_net
 from relugeom import complexes, lp, topology
 from relugeom.cli import auto_threshold
-from relugeom.complexes import complex_to_json
+from relugeom.complexes import cell_forms, complex_to_json
 from relugeom.linalg import dot, idot
 
 ARCHITECTURES = [
@@ -27,18 +27,6 @@ ARCHITECTURES = [
 ]
 NETS = 240  # 20 per architecture, half with entries in [-2, 2], half in [-4, 4]
 RATIONAL_NETS = 48  # 4 per architecture, entries k/8 or k/3 in [-2, 2]
-
-
-def rational_net(rng: random.Random, arch, den: int):
-    """A net whose entries are k/den in [-2, 2]: its node forms need scaling
-    to integers."""
-    def entry():
-        return Fraction(rng.randint(-2 * den, 2 * den), den)
-
-    return net_of(*(
-        ([[entry() for _ in range(n_in)] for _ in range(n_out)], [entry() for _ in range(n_out)])
-        for n_in, n_out in zip(arch, arch[1:])
-    ))
 
 
 def sample_nets():
@@ -144,8 +132,22 @@ def test_complexes_match_the_oracle(runs):
 def test_witnesses_lie_in_their_cells(runs):
     pairs, _, _, _ = runs
     for cpx, refined, _, _ in pairs:
-        for cell in list(cpx.cells.values()) + list(refined.cells.values()):
-            assert cell.contains(cell.witness)
+        for source in (cpx, refined):
+            for cell in source.cells.values():
+                assert contains(source, cell, cell.witness)
+
+
+def test_cell_forms_match_the_oracle_rows(runs):
+    """cell_forms recomposes, from the network and the sign vector, the
+    rows that the oracle's cells were cut out by, the level form included."""
+    pairs, _, _, _ = runs
+    cells = 0
+    for cpx, refined, expected, expected_refined in pairs:
+        for source, oracle in ((cpx, expected), (refined, expected_refined)):
+            for sign, cell in source.cells.items():
+                assert cell_forms(source, cell) == oracle.cells[sign].rows, (source.network, sign)
+                cells += 1
+    assert cells > 10000
 
 
 def test_every_split_case_is_hit(runs):
