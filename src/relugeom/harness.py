@@ -100,7 +100,7 @@ class ExperimentConfig:
             kwargs["threshold"] = rat(data["threshold"])
         if "threshold_range" in data:
             pair = data["threshold_range"]
-            kwargs["threshold_range"] = tuple(map(rat, pair)) if isinstance(pair, list) else pair
+            kwargs["threshold_range"] = tuple(map(rat, pair)) if isinstance(pair, (list, tuple)) else pair
         return ExperimentConfig(**kwargs)
 
 
