@@ -4,11 +4,10 @@ Input space is carved into cells keyed by ternary sign vectors: one
 coordinate per hidden unit (layer-major order), holding the sign of that
 unit's pre-activation node map on the cell.  A cell stores its sign vector,
 a witness point, its dimension, the span of its equality normals and the
-affine maps of its activation pattern.  Its faces, vertices and edge
-geometry are read off the face lattice; its H-representation, which only
-polygon clipping needs, is recomposed on demand by ``cell_forms``.  The
-network is affine on every cell, and the stored restriction realizes that
-affine map exactly.
+affine maps of its activation pattern, but no H-representation: its
+faces, vertices, edge geometry and boundedness are read off the face
+lattice.  The network is affine on every cell, and the stored restriction
+realizes that affine map exactly.
 
 Layers are processed in order, and inside a layer node by node: each pass
 splits every cell of the complete complex by its node map.  Each cell
@@ -24,8 +23,9 @@ The face relation is read off sign vectors alone: a cell lies in the
 closure of another iff its signs turn some +/- coordinates of the other
 into 0.  ``SignIndex`` keeps the signs of all cells bit-sliced, one big int
 per coordinate and sign, so a closure or a star is one AND per coordinate
-over every cell at once.  Components, boundedness, the exported faces and
-the minimal faces and rays of the split all query it.
+over every cell at once.  Components, boundedness (one closure and its
+Euler–Poincaré sum), the exported faces, the SVG's polygons and the
+minimal faces and rays of the split all query it.
 
 The split needs only signs, so it runs over Python ints.  A form w·x + c
 is kept as the primitive integer vector f = (w', c'), a positive multiple
@@ -57,7 +57,7 @@ from .linalg import (
     rat_str,
     vsub,
 )
-from .network import NodeRef, ReluNetwork
+from .network import NodeRef, ReluNetwork, evaluate, preactivations
 
 NODE = "node"
 LEVEL = "level"
@@ -86,7 +86,6 @@ class Cell:
     # multiple of its form, so a primitive row is the form's integer vector
     prefix: AffineMap | None = None
     restriction: AffineMap | None = None
-    bounded: bool | None = None  # filled lazily
 
     @cached_property
     def witness(self) -> Vec:
@@ -473,30 +472,17 @@ def activation_regions(cpx: CanonicalComplex) -> list[Cell]:
 
 
 def cell_bounded(cpx: CanonicalComplex, cell: Cell) -> bool:
-    """Whether the closed cell is bounded, read off the face lattice: a
-    vertex is, an edge iff it is a segment, a larger cell iff the complex
-    has a vertex and none of the cell's 1-faces is a ray or a line.  (All
-    cells share one lineality space, and an unbounded pointed polyhedron has
-    an unbounded edge.)  Edges are classified when reached; memoized."""
-    if cell.bounded is None:
-        if cell.dim == 0:
-            cell.bounded = True
-        elif cell.dim == 1:
-            _edge_bounded(cpx, cell)
-        else:
-            index = cpx.index
-            edges = index.members(index.closure(cell.sign) & index.of_dim(1))
-            cell.bounded = bool(index.of_dim(0)) and all(_edge_bounded(cpx, e) for e in edges)
-    return cell.bounded
-
-
-def _edge_bounded(cpx: CanonicalComplex, edge: Cell) -> bool:
-    """Whether the closed 1-cell is a segment: exactly two 0-cells lie in
-    its closure, where a ray has one and a line none."""
-    if edge.bounded is None:
-        index = cpx.index
-        edge.bounded = (index.closure(edge.sign) & index.of_dim(0)).bit_count() == 2
-    return edge.bounded
+    """Whether the closed cell is bounded, read off the face lattice by the
+    Euler–Poincaré identity: every cell is relatively open, with compactly
+    supported Euler characteristic (-1)^dim.  When the complex has a vertex
+    every closed cell is pointed (all share one lineality space), and a
+    closed pointed polyhedron has χ_c 1 when bounded and 0 when not; without
+    a vertex no cell is bounded."""
+    index = cpx.index
+    if not index.of_dim(0):
+        return False
+    faces = index.closure(cell.sign)
+    return sum((-1) ** k * (faces & index.of_dim(k)).bit_count() for k in range(cell.dim + 1)) == 1
 
 
 # --- lines through cells ------------------------------------------------------
@@ -553,27 +539,8 @@ def edge_geometry(cpx: CanonicalComplex, cell: Cell) -> tuple[str, Vec, Vec, Vec
     return LINE, cell.witness, tuple(Fraction(x, scale) for x in line), None
 
 
-def cell_forms(cpx: CanonicalComplex, cell: Cell) -> tuple[Row, ...]:
-    """The cell's H-representation: per coordinate, the primitive integer
-    form (w, c) that has the coordinate's sign on the cell.  Node forms are
-    recomposed from the network through the cell's own masked prefixes."""
-    layers = cpx.network.layers[: len({co.layer for co in cpx.coords if co.kind == NODE})]
-    forms: list[IVec] = []
-    prefix = AffineMap.identity(cpx.ambient_dim)
-    for layer in layers:
-        pre = layer.compose(prefix)
-        signs = cell.sign[len(forms) : len(forms) + layer.out_dim]
-        forms += map(primitive, pre.rows)
-        prefix = pre.masked([int(s > 0) for s in signs])
-    if cpx.threshold is not None:
-        forms.append(_level_form(cell.restriction, cpx.threshold))
-    return tuple((f[:-1], f[-1]) for f in forms)
-
-
 def locate(cpx: CanonicalComplex, x: Sequence[Fraction]) -> Cell:
     """The unique cell whose relative interior contains x."""
-    from .network import evaluate, preactivations
-
     net = cpx.network
     pre = preactivations(net, x)
     sign: list[int] = []

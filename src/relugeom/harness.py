@@ -17,8 +17,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .network import ReluNetwork, network_from_json, network_hash, network_to_json
+from .affine import AffineMap
 from .linalg import rat, rat_str
+from .network import ReluNetwork, network_from_json, network_hash, network_to_json
 from .topology import (
     FAIL,
     PASS,
@@ -97,11 +98,21 @@ class ExperimentConfig:
             if key in data:
                 kwargs[key] = data[key]
         if "threshold" in data and data["threshold"] is not None:
-            kwargs["threshold"] = rat(data["threshold"])
+            kwargs["threshold"] = _field_rat("threshold", data["threshold"])
         if "threshold_range" in data:
             pair = data["threshold_range"]
-            kwargs["threshold_range"] = tuple(map(rat, pair)) if isinstance(pair, (list, tuple)) else pair
+            if isinstance(pair, (list, tuple)):
+                pair = tuple(_field_rat(f"threshold_range[{i}]", v) for i, v in enumerate(pair))
+            kwargs["threshold_range"] = pair
         return ExperimentConfig(**kwargs)
+
+
+def _field_rat(name: str, value) -> Fraction:
+    """A config field's rational, with the field named in any error."""
+    try:
+        return rat(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 @dataclass
@@ -145,8 +156,6 @@ def _draw_parameter(cfg: ExperimentConfig, rng: random.Random) -> Fraction:
 
 def sample_network(cfg: ExperimentConfig, index: int, rng: random.Random | None = None) -> ReluNetwork:
     """The network of one trial; deterministic in (seed, index)."""
-    from .affine import AffineMap
-
     rng = rng or _trial_rng(cfg, index)
     layers = []
     arch = cfg.architecture

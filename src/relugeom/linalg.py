@@ -87,10 +87,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return out
 
 
-def zeros(n: int) -> Vec:
-    return (ZERO,) * n
-
-
 def unit(n: int, i: int) -> Vec:
     return tuple(ONE if k == i else ZERO for k in range(n))
 
@@ -120,12 +116,6 @@ def primitive(values: Sequence[Fraction]) -> IVec:
         ints = [x.numerator * (scale // x.denominator) for x in values]
     g = gcd(*ints)
     return tuple(x // g for x in ints) if g > 1 else tuple(ints)
-
-
-def primitive_form(w: Sequence[Fraction], c: Fraction) -> IVec:
-    """The affine form x -> w·x + c as the primitive integer vector (w', c'),
-    which has the sign of the form at every point (X, d) with d > 0."""
-    return primitive((*w, c))
 
 
 def homogeneous(x: Sequence[Fraction]) -> IVec:
@@ -281,24 +271,3 @@ class LinearSystem:
             tuple((vec(w), Fraction(c)) for w, c in inequalities),
             tuple((vec(w), Fraction(c)) for w, c in equalities),
         )
-
-
-def solve_square(m: Mat, rhs: Vec) -> Vec | None:
-    """Unique solution of a square system, or None when singular."""
-    n = len(m)
-    if n != len(rhs) or any(len(r) != n for r in m):
-        raise ValueError("solve_square needs a square system")
-    res = affine_solution(m, rhs, n)
-    if res is None:
-        return None
-    point, null = res
-    if null:
-        return None
-    return point
-
-
-def nullspace(m: Mat, dim: int) -> list[Vec]:
-    """Basis of {x : m·x = 0}."""
-    res = affine_solution(m, [ZERO] * len(m), dim)
-    assert res is not None
-    return res[1]

@@ -3,9 +3,11 @@
 Input dimension 2 only.  Regions Y and N are filled with two colors, the
 bent hyperplane arrangement is drawn with flat edges dashed and oriented
 edges carrying an arrowhead at their midpoint, and the level set F = t is
-drawn on top.  All geometry is clipped to the bounding box exactly in
-rational arithmetic; floats appear only in the final coordinate formatting,
-so the output is a stable function of the complex.
+drawn on top.  All geometry is read off the face lattice and clipped to
+the bounding box exactly in rational arithmetic: an edge by its line
+interval in the box, a 2-cell by the clipped 1-cells of its closure and the
+box corners it holds.  Floats appear only in the final coordinate
+formatting, so the output is a stable function of the complex.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from .complexes import (
     SEGMENT,
     CanonicalComplex,
     Cell,
-    cell_forms,
     edge_geometry,
     line_interval,
+    locate,
     sign_key,
 )
-from .linalg import Vec, dot, solve_square, vadd, vscale
+from .linalg import Vec, vadd, vscale
 from .topology import DecisionTopology, oriented_skeleton
 
 YES_FILL = "#cde7cd"
@@ -59,24 +61,28 @@ def _box_rows(bbox) -> list[tuple[Vec, Fraction]]:
     ]
 
 
-def _clip_cell_polygon(cpx: CanonicalComplex, cell: Cell, bbox) -> list[Vec]:
+def _box_corners(cpx: CanonicalComplex, bbox) -> dict[tuple[int, ...], list[Vec]]:
+    """The box corners, by the sign vector of the cell holding each."""
+    x0, y0, x1, y1 = bbox
+    corners: dict[tuple[int, ...], list[Vec]] = {}
+    for p in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
+        corners.setdefault(locate(cpx, p).sign, []).append(p)
+    return corners
+
+
+def _clip_cell_polygon(cpx: CanonicalComplex, cell: Cell, bbox, corners) -> list[Vec]:
     """Vertices of the (convex) closed 2-cell intersected with the box, in
-    angular order; empty when the intersection is lower-dimensional.  A
-    2-cell of the plane has no equality rows, only degenerate ones."""
-    rows = [
-        (tuple(s * x for x in w), s * c)
-        for (w, c), s in zip(cell_forms(cpx, cell), cell.sign)
-        if s and any(w)
-    ] + _box_rows(bbox)
-    candidates: set[Vec] = set()
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            (w1, c1), (w2, c2) = rows[i], rows[j]
-            p = solve_square((w1, w2), (-c1, -c2))
-            if p is None:
-                continue
-            if all(dot(w, p) + c >= 0 for w, c in rows):
-                candidates.add(p)
+    angular order; empty when the intersection is lower-dimensional.  They
+    are the visible ends of the 1-cells in the cell's closure and the box
+    corners in the cell.  (Every 0-cell of the closure ends a 1-cell of it,
+    and a corner on a 1-cell ends its visible part, since a corner is an
+    extreme point of the box.)"""
+    index = cpx.index
+    candidates = set(corners.get(cell.sign, ()))
+    for edge in index.members(index.closure(cell.sign) & index.of_dim(1)):
+        clipped = _clip_edge(*edge_geometry(cpx, edge), bbox)
+        if clipped is not None:
+            candidates.update(clipped)
     if len(candidates) < 3:
         return []
     pts = sorted(candidates)
@@ -178,11 +184,12 @@ def render_svg(topology: DecisionTopology, bbox=None) -> str:
         bbox = default_bbox(base)
     canvas = _Canvas(bbox)
 
+    corners = _box_corners(refined, bbox)
     for key in sorted(refined.cells, key=sign_key):
         cell = refined.cells[key]
         if cell.dim != 2 or key[-1] == 0:
             continue
-        pts = _clip_cell_polygon(refined, cell, bbox)
+        pts = _clip_cell_polygon(refined, cell, bbox, corners)
         if pts:
             canvas.polygon(pts, YES_FILL if key[-1] > 0 else NO_FILL)
 

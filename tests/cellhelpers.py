@@ -1,26 +1,48 @@
-"""Cell helpers that only tests need: a cell's H-representation as a
-linear system, membership, the row-based edge geometry that
-``complexes.edge_geometry`` replaced, random relative-interior points of a
-cell, and the face relation on sign vectors one pair at a time, with the
-components it gives: the oracles of ``complexes.SignIndex`` and of
-``topology._region_components``."""
+"""Cell helpers that only tests need: a cell's H-representation, as
+forms and as a linear system, membership, random relative-interior points
+of a cell, and the face relation on sign vectors one pair at a time, with
+the components it gives.  They are the oracles of what the package reads
+off the face lattice: the row-based edge geometry of
+``complexes.edge_geometry``, the edge walk of ``complexes.cell_bounded``,
+the pairwise row clipper of ``svg._clip_cell_polygon``, and the face
+relation of ``complexes.SignIndex`` and ``topology._region_components``."""
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from relugeom.complexes import LINE, RAY, SEGMENT, cell_forms, line_interval
+from matrix_oracle import nullspace, solve_square, zeros
+from relugeom.affine import AffineMap
+from relugeom.complexes import LINE, NODE, RAY, SEGMENT, _level_form, line_interval
 from relugeom.linalg import (
     LinearSystem,
     Row,
     Vec,
     dot,
     is_zero_vec,
-    nullspace,
+    primitive,
     vadd,
     vscale,
     vsub,
-    zeros,
 )
+from relugeom.svg import _box_rows
+
+
+def cell_forms(cpx, cell) -> tuple[Row, ...]:
+    """The cell's H-representation: per coordinate, the primitive integer
+    form (w, c) that has the coordinate's sign on the cell.  Node forms are
+    recomposed from the network through the cell's own masked prefixes."""
+    layers = cpx.network.layers[: len({co.layer for co in cpx.coords if co.kind == NODE})]
+    forms = []
+    prefix = AffineMap.identity(cpx.ambient_dim)
+    for layer in layers:
+        pre = layer.compose(prefix)
+        signs = cell.sign[len(forms) : len(forms) + layer.out_dim]
+        forms += map(primitive, pre.rows)
+        prefix = pre.masked([int(s > 0) for s in signs])
+    if cpx.threshold is not None:
+        forms.append(_level_form(cell.restriction, cpx.threshold))
+    return tuple((f[:-1], f[-1]) for f in forms)
 
 
 def rows_system(
@@ -169,3 +191,48 @@ def interior_points(cpx, cell, rng, count: int) -> list[Vec]:
     while len(points) < count:
         points.append(cell.witness)
     return points[:count]
+
+
+def edge_walk_bounded(cpx, cell) -> bool:
+    """Whether the closed cell is bounded, by walking its edges: a vertex
+    is, an edge iff it is a segment (two 0-cells in its closure, where a ray
+    has one and a line none), a larger cell iff the complex has a vertex and
+    every 1-cell in its closure is a segment.  (All cells share one
+    lineality space, and an unbounded pointed polyhedron has an unbounded
+    edge.)"""
+    index = cpx.index
+
+    def segment(edge) -> bool:
+        return (index.closure(edge.sign) & index.of_dim(0)).bit_count() == 2
+
+    if cell.dim == 0:
+        return True
+    if cell.dim == 1:
+        return segment(cell)
+    edges = index.members(index.closure(cell.sign) & index.of_dim(1))
+    return bool(index.of_dim(0)) and all(map(segment, edges))
+
+
+def pairwise_clip(cpx, cell, bbox) -> list[Vec]:
+    """Vertices of the closed 2-cell of the plane intersected with the box,
+    in the angular order of ``svg._clip_cell_polygon``: every crossing of
+    two of the cell's rows and the box rows that satisfies all of them."""
+    rows = [
+        (tuple(s * x for x in w), s * c)
+        for (w, c), s in zip(cell_forms(cpx, cell), cell.sign)
+        if s and any(w)
+    ] + _box_rows(bbox)
+    candidates = set()
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            (w1, c1), (w2, c2) = rows[i], rows[j]
+            p = solve_square((w1, w2), (-c1, -c2))
+            if p is not None and all(dot(w, p) + c >= 0 for w, c in rows):
+                candidates.add(p)
+    if len(candidates) < 3:
+        return []
+    pts = sorted(candidates)
+    cx = sum(p[0] for p in pts) / len(pts)
+    cy = sum(p[1] for p in pts) / len(pts)
+    pts.sort(key=lambda p: math.atan2(float(p[1] - cy), float(p[0] - cx)))
+    return pts

@@ -5,7 +5,7 @@ read its splits off the face lattice: cell by cell, each cell split by all
 nodes of a layer in turn, and a point on the far side of each cut found by
 an exact strict-feasibility LP over the cell's own rows.  It is kept only as
 a test oracle: the LP-free construction must give the same complex.  Its
-cells keep the rows they were cut out by, which ``complexes.cell_forms``
+cells keep the rows they were cut out by, which ``cellhelpers.cell_forms``
 must recompute.
 """
 
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from cellhelpers import rows_system
+from matrix_oracle import nullspace, primitive_form, zeros
 from relugeom import lp
 from relugeom.affine import AffineMap
 from relugeom.complexes import (
@@ -33,9 +34,6 @@ from relugeom.linalg import (
     dot,
     homogeneous,
     is_zero_vec,
-    nullspace,
-    primitive_form,
-    zeros,
 )
 from relugeom.network import NodeRef, ReluNetwork
 

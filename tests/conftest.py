@@ -32,6 +32,15 @@ def rational_net(rng: random.Random, arch, den: int):
     ))
 
 
+def rank_one_net(rng: random.Random, width: int):
+    """A planar net whose first-layer rows are multiples of one vector, so
+    its complex has no vertex and its edges are lines."""
+    u = [rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])]
+    first = [[a * x for x in u] for a in (rng.choice([-2, -1, 1, 2, 3]) for _ in range(width))]
+    bias = [rng.randint(-4, 4) for _ in range(width)]
+    return net_of((first, bias), ([[rng.randint(-3, 3) or 1 for _ in range(width)]], [0]))
+
+
 def relu_of_x():
     """F(x) = ReLU(x) on the line."""
     return net_of(([[1]], [0]), ([[1]], [0]))

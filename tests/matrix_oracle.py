@@ -1,8 +1,12 @@
-"""Matrix products over ``Fraction``, kept only as a test reference.
+"""Matrix products and solves over ``Fraction``, kept only as a test
+reference.
 
 ``relugeom.affine.AffineMap`` composes and masks integer rows over one
 denominator; these are the plain rational products it replaced, and the
-tests check the integer maps against them.
+tests check the integer maps against them.  ``solve_square`` and
+``nullspace`` are what the row-based oracles (``cellhelpers``,
+``complex_oracle``) solve with; the package reads the same facts off the
+face lattice.
 """
 
 from __future__ import annotations
@@ -10,7 +14,38 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from relugeom.linalg import ZERO, Mat, Vec, dot
+from relugeom.linalg import ZERO, IVec, Mat, Vec, affine_solution, dot, primitive
+
+
+def zeros(n: int) -> Vec:
+    return (ZERO,) * n
+
+
+def primitive_form(w: Sequence[Fraction], c: Fraction) -> IVec:
+    """The affine form x -> w·x + c as the primitive integer vector (w', c'),
+    which has the sign of the form at every point (X, d) with d > 0."""
+    return primitive((*w, c))
+
+
+def solve_square(m: Mat, rhs: Vec) -> Vec | None:
+    """Unique solution of a square system, or None when singular."""
+    n = len(m)
+    if n != len(rhs) or any(len(r) != n for r in m):
+        raise ValueError("solve_square needs a square system")
+    res = affine_solution(m, rhs, n)
+    if res is None:
+        return None
+    point, null = res
+    if null:
+        return None
+    return point
+
+
+def nullspace(m: Mat, dim: int) -> list[Vec]:
+    """Basis of {x : m·x = 0}."""
+    res = affine_solution(m, [ZERO] * len(m), dim)
+    assert res is not None
+    return res[1]
 
 
 def mat_vec(m: Mat, x: Sequence[Fraction]) -> Vec:

@@ -21,7 +21,8 @@ from relugeom.arrangement import (
     vertices_adjacent,
 )
 from relugeom.complexes import build_complex
-from relugeom.linalg import dot, rank, solve_square, vec
+from matrix_oracle import solve_square
+from relugeom.linalg import dot, rank, vec
 from relugeom.lp import LinearSystem, recession_cone_is_trivial
 
 

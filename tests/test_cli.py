@@ -438,6 +438,10 @@ def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
         ({"threshold_range": "x"}, "threshold_range must be a pair [lo, hi]"),
         ({"threshold_range": 5}, "threshold_range must be a pair [lo, hi]"),
         ({"threshold_range": ["1", "0"]}, "threshold_range must be a pair [lo, hi] with lo <= hi"),
+        ({"threshold": "x"}, "threshold: malformed rational string: 'x'"),
+        ({"threshold": 0.5}, "threshold: refusing inexact float 0.5"),
+        ({"threshold_range": ["a", "1"]}, "threshold_range[0]: malformed rational string: 'a'"),
+        ({"threshold_range": ["0", 0.5]}, "threshold_range[1]: refusing inexact float 0.5"),
     ],
     ids=[
         "string-dyadic-exp",
@@ -446,6 +450,10 @@ def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
         "string-threshold-range",
         "number-threshold-range",
         "reversed-threshold-range",
+        "string-threshold",
+        "float-threshold",
+        "string-threshold-range-entry",
+        "float-threshold-range-entry",
     ],
 )
 def test_experiment_bad_field_exits_2(tmp_path, capsys, fields, message):

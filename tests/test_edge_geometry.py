@@ -11,10 +11,10 @@ end, exactly.
 import random
 from collections import Counter
 
-from cellhelpers import contains, row_edge_geometry
+from cellhelpers import cell_forms, contains, row_edge_geometry
 from conftest import net_of, random_net, rational_net
 from relugeom.cli import auto_threshold
-from relugeom.complexes import build_complex, cell_forms, edge_geometry, refine_by_threshold
+from relugeom.complexes import build_complex, edge_geometry, refine_by_threshold
 
 ARCHITECTURES = [(2, 3, 1), (2, 4, 1), (3, 3, 1, 1), (2, 2, 2, 1), (3, 4, 1), (2, 3, 3, 1), (1, 3, 1)]
 NETS = 420

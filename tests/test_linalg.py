@@ -3,17 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from matrix_oracle import mat_mul, transpose
+from matrix_oracle import mat_mul, nullspace, solve_square, transpose
 from relugeom.linalg import (
     RowBasis,
     affine_solution,
     dot,
     mat,
-    nullspace,
     rank,
     rat,
     rat_str,
-    solve_square,
     vec,
 )
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from matrix_oracle import nullspace
 from relugeom import lp
-from relugeom.linalg import nullspace, unit, vec
+from relugeom.linalg import unit, vec
 from relugeom.lp import (
     INFEASIBLE,
     OPTIMAL,

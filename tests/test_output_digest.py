@@ -7,7 +7,7 @@ import hashlib
 import json
 import random
 
-from conftest import net_of, random_net, rational_net
+from conftest import random_net, rank_one_net, rational_net
 from relugeom.cli import auto_threshold
 from relugeom.complexes import build_complex, complex_to_json, sign_key
 from relugeom.linalg import rat_str
@@ -15,15 +15,6 @@ from relugeom.svg import render_svg
 from relugeom.topology import decision_topology, oriented_skeleton
 
 DIGEST = "193c47965e35c7e3de773d4b5ecc70334a9763fb66cb5d16180db7fe407a7c5a"
-
-
-def rank_one_net(rng: random.Random, width: int):
-    """A planar net whose first-layer rows are multiples of one vector, so
-    its complex has no vertex and its edges are lines."""
-    u = [rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])]
-    first = [[a * x for x in u] for a in (rng.choice([-2, -1, 1, 2, 3]) for _ in range(width))]
-    bias = [rng.randint(-4, 4) for _ in range(width)]
-    return net_of((first, bias), ([[rng.randint(-3, 3) or 1 for _ in range(width)]], [0]))
 
 
 def planar_nets():

@@ -14,11 +14,11 @@ from fractions import Fraction
 import pytest
 
 import complex_oracle
-from cellhelpers import contains, mask_in_closure, sign_mask
+from cellhelpers import cell_forms, contains, mask_in_closure, sign_mask
 from conftest import rational_net, random_net
 from relugeom import complexes, lp, topology
 from relugeom.cli import auto_threshold
-from relugeom.complexes import cell_forms, complex_to_json
+from relugeom.complexes import complex_to_json
 from relugeom.linalg import dot, idot
 
 ARCHITECTURES = [

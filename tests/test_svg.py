@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import fig1_net, net_of, simplex_net
+from matrix_oracle import nullspace, primitive_form
 from relugeom.cli import auto_threshold
 from relugeom.complexes import build_complex, complex_to_json
-from relugeom.linalg import nullspace, primitive_form
 from relugeom.svg import default_bbox, render_svg
 from relugeom.topology import decision_topology
 
