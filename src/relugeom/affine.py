@@ -10,7 +10,6 @@ views of the weights and biases serve input, evaluation and output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -21,22 +20,40 @@ from typing import Sequence
 from .linalg import IVec, Mat, Vec, dot, mat, vec
 
 
-@dataclass(frozen=True)
 class AffineMap:
     """x ↦ (w'·x + c')/den for each integer row (w', c'), den > 0; reduced
-    on construction so that den and the entries are coprime."""
+    on construction so that den and the entries are coprime.  Immutable and
+    compared by value; the ``__dict__`` slot holds the cached views."""
 
-    rows: tuple[IVec, ...]
-    den: int
+    __slots__ = ("rows", "den", "__dict__")
 
-    def __post_init__(self):
-        if self.den <= 0:
+    def __init__(self, rows: tuple[IVec, ...], den: int):
+        if den <= 0:
             raise ValueError("the denominator of an affine map must be positive")
-        if self.den > 1:
-            g = gcd(self.den, *chain.from_iterable(self.rows))
+        if den > 1:
+            g = gcd(den, *chain.from_iterable(rows))
             if g > 1:
-                object.__setattr__(self, "rows", tuple(tuple(x // g for x in r) for r in self.rows))
-                object.__setattr__(self, "den", self.den // g)
+                rows = tuple(tuple(x // g for x in r) for r in rows)
+                den //= g
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an AffineMap")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.den) == (other.rows, other.den)
+
+    def __hash__(self):
+        return hash((self.rows, self.den))
+
+    def __repr__(self):
+        return f"AffineMap(rows={self.rows!r}, den={self.den!r})"
+
+    def __reduce__(self):
+        return AffineMap, (self.rows, self.den)
 
     @property
     def out_dim(self) -> int:

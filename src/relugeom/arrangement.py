@@ -10,9 +10,8 @@ which side of each hyperplane a region lies on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import Cell
 from .linalg import (
@@ -32,17 +31,23 @@ Row = tuple[Vec, Fraction]
 RegionCode = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SolutionSetArrangement:
-    """Ordered rows (weight, bias); degenerate rows (zero weight) allowed."""
-
+class _SolutionSetFields(NamedTuple):
     ambient_dim: int
     rows: tuple[Row, ...]
 
-    def __post_init__(self):
+
+class SolutionSetArrangement(_SolutionSetFields):
+    """Ordered rows (weight, bias); degenerate rows (zero weight) allowed."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for w, _ in self.rows:
             if len(w) != self.ambient_dim:
                 raise ValueError("row dimension does not match the ambient space")
+        return self
 
     @staticmethod
     def of(ambient_dim: int, rows: Iterable) -> "SolutionSetArrangement":
@@ -51,21 +56,28 @@ class SolutionSetArrangement:
         )
 
 
-@dataclass(frozen=True)
-class CoorientedArrangement:
-    """Ordered co-oriented hyperplanes; every weight is nonzero.  provenance
-    maps each hyperplane back to its originating solution-set row."""
-
+class _CoorientedFields(NamedTuple):
     ambient_dim: int
     hyperplanes: tuple[Row, ...]
     provenance: tuple[int, ...] = ()
 
-    def __post_init__(self):
+
+class CoorientedArrangement(_CoorientedFields):
+    """Ordered co-oriented hyperplanes; every weight is nonzero.  provenance
+    maps each hyperplane back to its originating solution-set row.  Its
+    length is the number of hyperplanes."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for w, _ in self.hyperplanes:
             if len(w) != self.ambient_dim:
                 raise ValueError("row dimension does not match the ambient space")
             if is_zero_vec(w):
                 raise ValueError("hyperplanes need nonzero weights")
+        return self
 
     def __len__(self) -> int:
         return len(self.hyperplanes)

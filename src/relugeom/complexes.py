@@ -39,11 +39,10 @@ integer rows, and F at a witness is f·(X, d) / (den·d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .affine import AffineMap
 from .linalg import (
@@ -63,8 +62,7 @@ NODE = "node"
 LEVEL = "level"
 
 
-@dataclass(frozen=True)
-class CoordInfo:
+class CoordInfo(NamedTuple):
     """What one sign-vector coordinate tracks."""
 
     kind: str  # NODE or LEVEL
@@ -73,19 +71,28 @@ class CoordInfo:
     bha: bool  # node with a nonzero original weight row (contributes to the BHA)
 
 
-@dataclass(eq=False)
 class Cell:
-    """One cell: the set where every tracked affine form has its stored sign."""
+    """One cell: the set where every tracked affine form has its stored sign.
+    Cells compare and hash by identity."""
 
-    sign: tuple[int, ...]
-    point: IVec  # the witness, a point of the relative interior, as (X, d)
-    dim: int
-    eq_basis: RowBasis
-    # the masked composite of the processed layers, and F as an affine map on
-    # this cell: integer rows over one denominator, each row a positive
-    # multiple of its form, so a primitive row is the form's integer vector
-    prefix: AffineMap | None = None
-    restriction: AffineMap | None = None
+    def __init__(
+        self,
+        sign: tuple[int, ...],
+        point: IVec,
+        dim: int,
+        eq_basis: RowBasis,
+        prefix: AffineMap | None = None,
+        restriction: AffineMap | None = None,
+    ):
+        self.sign = sign
+        self.point = point  # the witness, a point of the relative interior, as (X, d)
+        self.dim = dim
+        self.eq_basis = eq_basis
+        # the masked composite of the processed layers, and F as an affine map
+        # on this cell: integer rows over one denominator, each row a positive
+        # multiple of its form, so a primitive row is the form's integer vector
+        self.prefix = prefix
+        self.restriction = restriction
 
     @cached_property
     def witness(self) -> Vec:
@@ -113,19 +120,32 @@ def cell_is_constant(cell: Cell) -> bool:
     return cell.eq_basis.contains(cell.restriction.rows[0][:-1])
 
 
-@dataclass
 class CanonicalComplex:
-    ambient_dim: int
-    coords: tuple[CoordInfo, ...]
-    cells: dict[tuple[int, ...], Cell]
-    network: ReluNetwork | None = None
-    threshold: Fraction | None = None
-    # hidden nodes whose map is constant zero on a cell of the complex of the
-    # layers before them: exactly those for which 0 is not transversal
-    node_failures: frozenset[NodeRef] = frozenset()
-    # a basis (ℓ, 0) of the lineality space L of every closed cell: the
-    # nullspace of the first-layer rows cut, as primitive integer directions
-    lineality: tuple[IVec, ...] = field(kw_only=True)
+    """The cells by sign key, what each sign coordinate tracks, and the
+    network and threshold they come from.  Compared by identity."""
+
+    def __init__(
+        self,
+        ambient_dim: int,
+        coords: tuple[CoordInfo, ...],
+        cells: dict[tuple[int, ...], Cell],
+        network: ReluNetwork | None = None,
+        threshold: Fraction | None = None,
+        node_failures: frozenset[NodeRef] = frozenset(),
+        *,
+        lineality: tuple[IVec, ...],
+    ):
+        self.ambient_dim = ambient_dim
+        self.coords = coords
+        self.cells = cells
+        self.network = network
+        self.threshold = threshold
+        # hidden nodes whose map is constant zero on a cell of the complex of
+        # the layers before them: exactly those for which 0 is not transversal
+        self.node_failures = node_failures
+        # a basis (ℓ, 0) of the lineality space L of every closed cell: the
+        # nullspace of the first-layer rows cut, as primitive integer directions
+        self.lineality = lineality
 
     def sorted_cells(self) -> list[Cell]:
         return [self.cells[k] for k in sorted(self.cells)]

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .affine import AffineMap
 from .linalg import rat, rat_str
@@ -33,8 +33,7 @@ DISTRIBUTIONS = ("integer", "dyadic")
 NO_THRESHOLD = "no_transversal_threshold"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class _ConfigFields(NamedTuple):
     architecture: tuple[int, ...]
     trials: int
     seed: int
@@ -46,7 +45,13 @@ class ExperimentConfig:
     threshold_range: tuple[Fraction, Fraction] = (Fraction(-8), Fraction(8))
     threshold_retries: int = 32
 
-    def __post_init__(self):
+
+class ExperimentConfig(_ConfigFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("trials", "seed", "bound", "dyadic_exp", "threshold_retries"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer")
@@ -66,6 +71,7 @@ class ExperimentConfig:
         pair = self.threshold_range
         if not isinstance(pair, tuple) or len(pair) != 2 or pair[0] > pair[1]:
             raise ValueError("threshold_range must be a pair [lo, hi] with lo <= hi")
+        return self
 
     def to_json(self) -> dict:
         out = {
@@ -115,8 +121,7 @@ def _field_rat(name: str, value) -> Fraction:
         raise ValueError(f"{name}: {exc}") from exc
 
 
-@dataclass
-class TrialRecord:
+class TrialRecord(NamedTuple):
     index: int
     check: str
     net_hash: str
@@ -214,15 +219,14 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
     )
 
 
-@dataclass
-class ExperimentSummary:
+class ExperimentSummary(NamedTuple):
     config: ExperimentConfig
     trials: int
     verdicts: dict[str, int]
     generic_count: int
     transversal_count: int
     max_bounded: dict[str, int]
-    failures: list[int] = field(default_factory=list)
+    failures: Sequence[int] = ()
 
     @property
     def pass_rate(self) -> float:

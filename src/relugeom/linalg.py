@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -248,21 +247,27 @@ def affine_solution(
 Row = tuple[Vec, Fraction]
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Affine constraints on R^dim: each inequality row (w, c) asserts
-    w·x + c >= 0, each equality row w·x + c == 0."""
-
+class _SystemFields(NamedTuple):
     dim: int
     inequalities: tuple[Row, ...] = ()
     equalities: tuple[Row, ...] = ()
 
-    def __post_init__(self):
+
+class LinearSystem(_SystemFields):
+    """Affine constraints on R^dim: each inequality row (w, c) asserts
+    w·x + c >= 0, each equality row w·x + c == 0."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for w, _ in self.inequalities + self.equalities:
             if len(w) != self.dim:
                 raise ValueError(
                     f"dimension mismatch: row has {len(w)} coefficients in R^{self.dim}"
                 )
+        return self
 
     @staticmethod
     def of(dim: int, inequalities: Iterable = (), equalities: Iterable = ()) -> "LinearSystem":

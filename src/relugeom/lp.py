@@ -31,7 +31,6 @@ for unboundedness.  A certificate that fails raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
@@ -43,8 +42,7 @@ UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     status: str
     value: Fraction | None = None
     point: Vec | None = None

@@ -9,7 +9,6 @@ biases, and evaluation are rational.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -28,11 +27,18 @@ class NodeRef(NamedTuple):
 ActivationPattern = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ReluNetwork:
+class _NetworkFields(NamedTuple):
     layers: tuple[AffineMap, ...]
 
-    def __post_init__(self):
+
+class ReluNetwork(_NetworkFields):
+    """The chain of affine maps: the hidden layers, then the output map."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.layers) < 2:
             raise ValueError("a network needs at least one hidden layer plus the output map")
         for k, layer in enumerate(self.layers):
@@ -43,6 +49,7 @@ class ReluNetwork:
                 raise ValueError("layer dimensions do not chain")
         if self.layers[-1].out_dim != 1:
             raise ValueError("output dimension must be 1")
+        return self
 
     @property
     def input_dim(self) -> int:
@@ -143,14 +150,12 @@ def pad_to_width(net: ReluNetwork) -> ReluNetwork:
     return ReluNetwork(tuple(layers))
 
 
-@dataclass(frozen=True)
-class LayerClass:
+class LayerClass(NamedTuple):
     degenerate: bool
     generic: bool
 
 
-@dataclass(frozen=True)
-class NetworkClass:
+class NetworkClass(NamedTuple):
     layers: tuple[LayerClass, ...]
     degenerate: bool
     generic: bool
@@ -246,6 +251,8 @@ def load_network(path) -> ReluNetwork:
 
 
 def network_hash(net: ReluNetwork) -> str:
+    # hashlib maps OpenSSL (~3.5 MB resident): imported here, only a process
+    # that hashes a network, such as an experiment, pays for it
     import hashlib
 
     blob = json.dumps(network_to_json(net), sort_keys=True).encode()

@@ -13,8 +13,8 @@ boundary-crossing edges all point the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import (
     RAY,
@@ -58,15 +58,13 @@ class NonTransversalThresholdError(ValueError):
         )
 
 
-@dataclass
-class RegionComponent:
+class RegionComponent(NamedTuple):
     region: str  # YES / BOUNDARY / NO
     cells: tuple[tuple[int, ...], ...]
     bounded: bool
 
 
-@dataclass
-class DecisionTopology:
+class DecisionTopology(NamedTuple):
     threshold: Fraction
     yes: tuple[RegionComponent, ...]
     boundary: tuple[RegionComponent, ...]
@@ -147,14 +145,12 @@ def decision_topology(source: CanonicalComplex | ReluNetwork, t: Fraction) -> De
 # --- the oriented 1-skeleton -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkeletonVertex:
+class SkeletonVertex(NamedTuple):
     key: tuple[int, ...]
     point: Vec
 
 
-@dataclass(frozen=True)
-class SkeletonEdge:
+class SkeletonEdge(NamedTuple):
     key: tuple[int, ...]
     kind: str  # SEGMENT / RAY / LINE
     base: Vec
@@ -184,8 +180,7 @@ class SkeletonEdge:
         return None
 
 
-@dataclass
-class OrientedSkeleton:
+class OrientedSkeleton(NamedTuple):
     vertices: dict[tuple[int, ...], SkeletonVertex]
     edges: dict[tuple[int, ...], SkeletonEdge]
     vertex_by_point: dict[Vec, tuple[int, ...]]
@@ -219,8 +214,7 @@ def oriented_skeleton(source: CanonicalComplex | ReluNetwork) -> OrientedSkeleto
 # --- extremal subgraph certificates (bounded components) ---------------------
 
 
-@dataclass
-class MaxSubgraphCertificate:
+class MaxSubgraphCertificate(NamedTuple):
     region: str  # YES (maximum) or NO (minimum)
     component_index: int
     extreme_value: Fraction
@@ -331,8 +325,7 @@ FAIL = "fail"
 NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     theorem: str
     status: str
     threshold: Fraction | None = None

@@ -11,8 +11,8 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import CanonicalComplex, as_complex, build_complex
 from .linalg import rat_str
@@ -29,8 +29,7 @@ def is_transversal_threshold(source: CanonicalComplex | ReluNetwork, t: Fraction
     return Fraction(t) not in nontransversal_thresholds(source)
 
 
-@dataclass(frozen=True)
-class TransversalityReport:
+class TransversalityReport(NamedTuple):
     generic: bool
     transversal: bool
     node_failures: tuple[NodeRef, ...]

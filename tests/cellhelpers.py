@@ -1,7 +1,8 @@
 """Cell helpers that only tests need: a cell's H-representation, as
 forms and as a linear system, membership, random relative-interior points
 of a cell, and the face relation on sign vectors one pair at a time, with
-the components it gives.  They are the oracles of what the package reads
+the components it gives, and a copy of a complex with its cells or
+lineality replaced.  They are the oracles of what the package reads
 off the face lattice: the row-based edge geometry of
 ``complexes.edge_geometry``, the edge walk of ``complexes.cell_bounded``,
 the pairwise row clipper of ``svg._clip_cell_polygon``, and the face
@@ -13,7 +14,15 @@ from typing import Sequence
 
 from matrix_oracle import nullspace, solve_square, zeros
 from relugeom.affine import AffineMap
-from relugeom.complexes import LINE, NODE, RAY, SEGMENT, _level_form, line_interval
+from relugeom.complexes import (
+    LINE,
+    NODE,
+    RAY,
+    SEGMENT,
+    CanonicalComplex,
+    _level_form,
+    line_interval,
+)
 from relugeom.linalg import (
     LinearSystem,
     Row,
@@ -236,3 +245,17 @@ def pairwise_clip(cpx, cell, bbox) -> list[Vec]:
     cy = sum(p[1] for p in pts) / len(pts)
     pts.sort(key=lambda p: math.atan2(float(p[1] - cy), float(p[0] - cx)))
     return pts
+
+
+def complex_with(cpx, *, cells=None, lineality=None) -> CanonicalComplex:
+    """The complex with its cells or its lineality basis replaced, and none
+    of its cached queries carried over."""
+    return CanonicalComplex(
+        cpx.ambient_dim,
+        cpx.coords,
+        cpx.cells if cells is None else cells,
+        cpx.network,
+        cpx.threshold,
+        cpx.node_failures,
+        lineality=cpx.lineality if lineality is None else lineality,
+    )

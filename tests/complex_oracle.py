@@ -11,7 +11,6 @@ must recompute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from cellhelpers import rows_system
@@ -38,12 +37,13 @@ from relugeom.linalg import (
 from relugeom.network import NodeRef, ReluNetwork
 
 
-@dataclass(eq=False)
 class RowCell(Cell):
     """A cell with its H-representation: per coordinate the primitive
     integer form (w, c) whose sign on the cell is the coordinate's sign."""
 
-    rows: tuple[Row, ...] = ()
+    def __init__(self, *args, rows: tuple[Row, ...] = (), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.rows = rows
 
 
 def _extend(

@@ -1,5 +1,6 @@
 """The integer AffineMap against the Fraction matrix products it replaced."""
 
+import copy
 import random
 from fractions import Fraction
 from math import gcd
@@ -109,6 +110,11 @@ def test_a_map_has_one_form():
         a, b, c = (random_map(rng, 3, 3, dens) for _ in range(3))
         assert c.compose(b).compose(a) == c.compose(b.compose(a))
         assert a.compose(AffineMap.identity(3)) == a == AffineMap.identity(3).compose(a)
+    # a map hashes by value, survives a deep copy, and cannot be assigned to
+    assert hash(half) == hash(AffineMap(((3, -9, 6),), 6))
+    assert copy.deepcopy(half) == half
+    with pytest.raises(AttributeError):
+        half.rows = ((2, -6, 4),)
 
 
 def test_of_rejects_malformed_input():

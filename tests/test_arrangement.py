@@ -50,6 +50,9 @@ def test_derive_drops_degenerate_rows():
     assert len(a) == 1
     assert a.hyperplanes[0] == (vec([1, 0]), Fraction(0))
     assert a.provenance == (1,)
+    assert a._replace(provenance=(0,)).provenance == (0,)
+    with pytest.raises(ValueError):
+        a._replace(hyperplanes=((vec([0, 0]), Fraction(1)),))
 
 
 def test_derive_is_identity_on_nonzero_rows():

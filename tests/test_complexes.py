@@ -6,6 +6,7 @@ import pytest
 from cellhelpers import contains, interior_points, is_face
 from conftest import fig1_net, net_of, orthant_caveat_net, random_net, relu_of_x, simplex_net
 from relugeom.complexes import (
+    CanonicalComplex,
     activation_regions,
     bent_hyperplane_arrangement,
     build_complex,
@@ -36,6 +37,8 @@ def test_one_layer_complex_is_arrangement_decomposition():
 def test_single_relu_line_three_cells():
     cpx = build_complex(relu_of_x())
     assert dims_histogram(cpx) == {1: 2, 0: 1}
+    with pytest.raises(TypeError):  # the lineality basis is keyword-only and required
+        CanonicalComplex(cpx.ambient_dim, cpx.coords, cpx.cells, cpx.network)
 
 
 def test_witness_lies_in_its_cell():

@@ -14,13 +14,12 @@ loop (χ_c 0) or a line (χ_c -1), and on the line a point (χ_c 1).
 
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
-from cellhelpers import edge_walk_bounded
+from cellhelpers import complex_with, edge_walk_bounded
 from conftest import random_net
 from relugeom.cli import auto_threshold
-from relugeom.complexes import build_complex, cell_bounded, refine_by_threshold
+from relugeom.complexes import Cell, build_complex, cell_bounded, refine_by_threshold
 from relugeom.topology import decision_topology
 
 ARCHITECTURES = [
@@ -73,10 +72,11 @@ def test_a_dropped_cell_or_a_wrong_dimension_breaks_them():
         keys = sorted(cpx.cells)
         key = keys[rng.randrange(len(keys))]
         dropped = {k: c for k, c in cpx.cells.items() if k != key}
-        assert euler_defects(replace(cpx, cells=dropped))
+        assert euler_defects(complex_with(cpx, cells=dropped))
         cell = cpx.cells[key]
-        wrong = replace(cell, dim=cell.dim + rng.choice([-1, 1]))
-        assert euler_defects(replace(cpx, cells={**cpx.cells, key: wrong}))
+        dim = cell.dim + rng.choice([-1, 1])
+        wrong = Cell(cell.sign, cell.point, dim, cell.eq_basis, cell.prefix, cell.restriction)
+        assert euler_defects(complex_with(cpx, cells={**cpx.cells, key: wrong}))
 
 
 LEVEL_ARCHITECTURES = [(2, 3, 1), (2, 4, 1), (2, 2, 2, 1), (2, 1, 1), (2, 3, 3, 1), (1, 3, 1), (1, 2, 2, 1)]

@@ -56,12 +56,16 @@ def test_config_validation():
         cfg_of(architecture=(2, 3))
     with pytest.raises(ValueError):
         cfg_of(bound=-1)
+    with pytest.raises(ValueError):
+        cfg_of()._replace(trials=0)
 
 
 def test_config_json_roundtrip():
     cfg = cfg_of(threshold=Fraction(1, 4), distribution="dyadic")
     again = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
     assert again == cfg
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+    assert hash(again) == hash(cfg)
 
 
 def test_transversal_check_trial():

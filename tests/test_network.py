@@ -72,6 +72,8 @@ def test_invalid_networks_rejected():
         net_of(([[1]], [0]), ([[1, 1]], [0]))  # dims do not chain
     with pytest.raises(ValueError):
         net_of(([[1]], [0]), ([[1], [1]], [0, 0]))  # output dim 2
+    with pytest.raises(ValueError):
+        net_of(([[1]], [0]), ([[1]], [0]))._replace(layers=())  # _replace checks too
 
 
 def test_node_map_first_layer_is_affine_row():
@@ -210,7 +212,10 @@ def test_json_roundtrip_and_hash_stability():
     data = network_to_json(net)
     again = network_from_json(json.loads(json.dumps(data)))
     assert again == net
+    assert hash(again) == hash(net)
     assert network_hash(again) == network_hash(net)
+    with pytest.raises(AttributeError):
+        net.layers = again.layers
 
 
 def test_json_rejects_bad_rational_and_architecture():

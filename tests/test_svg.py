@@ -1,10 +1,10 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from cellhelpers import complex_with
 from conftest import fig1_net, net_of, simplex_net
 from matrix_oracle import nullspace, primitive_form
 from relugeom.cli import auto_threshold
@@ -85,7 +85,7 @@ def test_outputs_do_not_depend_on_the_lineality_basis():
         net = net_of((first, bias), ([[rng.randint(-3, 3) for _ in first]], [0]))
         cpx = build_complex(net)
         basis = nullspace(net.layers[0].weights, n)
-        other = replace(cpx, lineality=tuple(primitive_form(d, 0) for d in basis))
+        other = complex_with(cpx, lineality=tuple(primitive_form(d, 0) for d in basis))
         moved += other.lineality != cpx.lineality
         t = auto_threshold(cpx)
         topo, alt = decision_topology(cpx, t), decision_topology(other, t)
