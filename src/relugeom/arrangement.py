@@ -15,12 +15,14 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .complexes import Cell
 from .linalg import (
+    IVec,
     RowBasis,
     Vec,
     affine_solution,
     dot,
     homogeneous,
     is_zero_vec,
+    primitive,
     rank,
     vec,
 )
@@ -105,21 +107,26 @@ def layer_arrangement(layer) -> SolutionSetArrangement:
 
 def is_generic(s: SolutionSetArrangement) -> bool:
     """General position: every p of the solution sets intersect in an affine
-    subspace of dimension n - p, empty when that is negative.  Decided by
-    ranks of the stacked weight and augmented submatrices, on the subsets
-    that decide it: independent weights on every min(k, n) rows make every
-    smaller intersection nonempty of the right dimension, and with them an
-    inconsistent system on every n + 1 rows makes every larger one empty."""
-    n = s.ambient_dim
-    if any(is_zero_vec(w) for w, _ in s.rows):
+    subspace of dimension n - p, empty when that is negative."""
+    return generic_rows([primitive((*w, b)) for w, b in s.rows], s.ambient_dim)
+
+
+def generic_rows(rows: Sequence[IVec], n: int) -> bool:
+    """Whether the solution sets of the integer augmented rows (w, b) on R^n
+    are in general position.  Decided by ranks of the stacked weight and
+    augmented submatrices, on the subsets that decide it: independent
+    weights on every min(k, n) rows make every smaller intersection
+    nonempty of the right dimension, and with them an inconsistent system
+    on every n + 1 rows makes every larger one empty."""
+    if any(not any(r[:n]) for r in rows):
         return False  # a single degenerate set already has the wrong dimension
-    p = min(len(s.rows), n)
-    for subset in itertools.combinations(s.rows, p):
-        if rank(tuple(w for w, _ in subset)) != p:
+    p = min(len(rows), n)
+    for subset in itertools.combinations(rows, p):
+        if rank(tuple(r[:n] for r in subset)) != p:
             return False
-    for subset in itertools.combinations(s.rows, n + 1):
+    for subset in itertools.combinations(rows, n + 1):
         # n independent weight rows, so consistent iff the augmented rank is n
-        if rank(tuple(w + (b,) for w, b in subset)) == n:
+        if rank(subset) == n:
             return False
     return True
 

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .complexes import build_complex, complex_to_json, skeleton, sign_key
 from .harness import ExperimentConfig, run_experiment
@@ -61,7 +60,8 @@ def _unwritable(path, exc: OSError) -> CliError:
 
 def _write(path, text: str):
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise _unwritable(path, exc)
 
@@ -202,14 +202,14 @@ def cmd_experiment(args) -> int:
         cfg = ExperimentConfig.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"invalid experiment config: {exc}", EXIT_INPUT)
-    out_dir = Path(args.out or os.environ.get("RELUGEOM_OUT", "."))
+    out_dir = args.out or os.environ.get("RELUGEOM_OUT", ".")
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        summary, _ = run_experiment(cfg, out_dir / "records.jsonl")
+        os.makedirs(out_dir, exist_ok=True)
+        summary, _ = run_experiment(cfg, os.path.join(out_dir, "records.jsonl"))
     except OSError as exc:
         raise _unwritable(out_dir, exc)
     text = json.dumps(summary.to_json(), indent=2, sort_keys=True) + "\n"
-    _write(out_dir / "summary.json", text)
+    _write(os.path.join(out_dir, "summary.json"), text)
     sys.stdout.write(text)
     return EXIT_OK
 

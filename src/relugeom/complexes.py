@@ -438,8 +438,13 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
     t = Fraction(t)
     faces = _Faces(list(cpx.cells.values()), cpx.lineality)
     refined: dict[tuple[int, ...], Cell] = {}
+    # cells of one activation pattern share their restriction, so its
+    # level form is made once
+    forms: dict[int, IVec] = {}
     for cell in cpx.cells.values():
-        for child in _children(cell, _level_form(cell.restriction, t), faces):
+        if id(cell.restriction) not in forms:
+            forms[id(cell.restriction)] = _level_form(cell.restriction, t)
+        for child in _children(cell, forms[id(cell.restriction)], faces):
             child.restriction = cell.restriction
             refined[child.sign] = child
     coords = cpx.coords + (CoordInfo(LEVEL, -1, 0, False),)

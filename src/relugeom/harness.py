@@ -18,19 +18,22 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .affine import AffineMap
+from .complexes import CanonicalComplex, build_complex
 from .linalg import rat, rat_str
-from .network import ReluNetwork, network_from_json, network_hash, network_to_json
+from .network import ReluNetwork, classify_layers, json_hash, network_from_json, network_to_json
 from .topology import (
     FAIL,
     PASS,
     verify_johnson,
     verify_one_bounded,
 )
-from .transversality import analyze_network
 
 CHECKS = ("transversal", "johnson", "one_bounded")
 DISTRIBUTIONS = ("integer", "dyadic")
 NO_THRESHOLD = "no_transversal_threshold"
+# The largest k for which 2**k has at most MAX_DECIMAL_EXPONENT digits: a
+# larger dyadic denominator could not be written to a record.
+MAX_DYADIC_EXP = 14284
 
 
 class _ConfigFields(NamedTuple):
@@ -60,6 +63,8 @@ class ExperimentConfig(_ConfigFields):
         for name in ("bound", "dyadic_exp", "threshold_retries"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.dyadic_exp > MAX_DYADIC_EXP:
+            raise ValueError(f"dyadic_exp must be at most {MAX_DYADIC_EXP}")
         if self.check not in CHECKS:
             raise ValueError(f"unknown check {self.check!r}")
         if self.distribution not in DISTRIBUTIONS:
@@ -152,22 +157,21 @@ def _trial_rng(cfg: ExperimentConfig, index: int) -> random.Random:
     return random.Random(f"{cfg.seed}:{index}")
 
 
-def _draw_parameter(cfg: ExperimentConfig, rng: random.Random) -> Fraction:
-    if cfg.distribution == "integer":
-        return Fraction(rng.randint(-cfg.bound, cfg.bound))
-    q = 2**cfg.dyadic_exp
-    return Fraction(rng.randint(-cfg.bound * q, cfg.bound * q), q)
-
-
 def sample_network(cfg: ExperimentConfig, index: int, rng: random.Random | None = None) -> ReluNetwork:
-    """The network of one trial; deterministic in (seed, index)."""
+    """The network of one trial; deterministic in (seed, index).  Every
+    weight, then every bias, of a layer is a uniform integer of
+    [-bound·den, bound·den] over den, with den = 1 for the integer
+    distribution and 2**dyadic_exp for the dyadic one."""
     rng = rng or _trial_rng(cfg, index)
+    den = 1 if cfg.distribution == "integer" else 2**cfg.dyadic_exp
+    top = cfg.bound * den
+    draw = rng.randint
     layers = []
     arch = cfg.architecture
     for n_in, n_out in zip(arch, arch[1:]):
-        w = [[_draw_parameter(cfg, rng) for _ in range(n_in)] for _ in range(n_out)]
-        b = [_draw_parameter(cfg, rng) for _ in range(n_out)]
-        layers.append(AffineMap.of(w, b))
+        w = [[draw(-top, top) for _ in range(n_in)] for _ in range(n_out)]
+        rows = tuple([tuple([*r, draw(-top, top)]) for r in w])
+        layers.append(AffineMap(rows, den))
     return ReluNetwork(tuple(layers))
 
 
@@ -176,10 +180,12 @@ def _draw_threshold(cfg: ExperimentConfig, rng: random.Random) -> Fraction:
     return lo + (hi - lo) * Fraction(rng.randint(0, 64), 64)
 
 
-def _verdict(check: str, cpx, report, threshold: Fraction | None) -> tuple[str, dict | None]:
+def _verdict(
+    check: str, cpx: CanonicalComplex, generic: bool, threshold: Fraction | None
+) -> tuple[str, dict | None]:
     """A trial's verdict, and its bounded counts when a verifier ran."""
     if check == "transversal":
-        return (PASS if report.generic and report.transversal else FAIL), None
+        return (PASS if generic and not cpx.node_failures else FAIL), None
     if threshold is None:
         return NO_THRESHOLD, None
     verifier = verify_johnson if check == "johnson" else verify_one_bounded
@@ -188,10 +194,14 @@ def _verdict(check: str, cpx, report, threshold: Fraction | None) -> tuple[str, 
 
 
 def run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
+    """One trial.  It computes only what its record reads: the complex, its
+    node failures and the network's genericity, and the constant-cell
+    values only when a threshold is chosen."""
     start = time.perf_counter()
     rng = _trial_rng(cfg, index)
     net = sample_network(cfg, index, rng)
-    cpx, report = analyze_network(net)
+    cpx = build_complex(net)
+    generic = classify_layers(net).generic
 
     threshold: Fraction | None = None
     if cfg.check != "transversal":
@@ -204,18 +214,19 @@ def run_trial(cfg: ExperimentConfig, index: int) -> TrialRecord:
                 if cand not in bad:
                     threshold = cand
                     break
-    verdict, counts = _verdict(cfg.check, cpx, report, threshold)
+    verdict, counts = _verdict(cfg.check, cpx, generic, threshold)
+    network = network_to_json(net)
     return TrialRecord(
         index=index,
         check=cfg.check,
-        net_hash=network_hash(net),
-        generic=report.generic,
-        transversal=report.transversal,
+        net_hash=json_hash(network),
+        generic=generic,
+        transversal=not cpx.node_failures,
         verdict=verdict,
         threshold=threshold,
         bounded_counts=counts,
         wall_ms=round((time.perf_counter() - start) * 1000, 3),
-        network=network_to_json(net),
+        network=network,
     )
 
 
@@ -282,6 +293,7 @@ def replay(record: dict) -> str:
     """Recompute the verdict of a serialized trial record from its embedded
     network; used to confirm counterexamples."""
     net = network_from_json(record["network"])
-    cpx, report = analyze_network(net)
+    cpx = build_complex(net)
     t = record.get("threshold")
-    return _verdict(record["check"], cpx, report, None if t is None else rat(t))[0]
+    generic = classify_layers(net).generic
+    return _verdict(record["check"], cpx, generic, None if t is None else rat(t))[0]

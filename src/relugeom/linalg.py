@@ -175,6 +175,12 @@ class RowBasis:
         return r
 
     def contains(self, w: Sequence[Fraction]) -> bool:
+        """Whether w lies in the span; the rank answers it when the span is
+        0 or all of the space."""
+        if not self._rows:
+            return not any(w)
+        if len(self._rows) == self.dim:
+            return True
         return not any(self._reduce(w))
 
     def add(self, w: Sequence[Fraction]) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .affine import AffineMap
-from .linalg import ZERO, Vec, is_zero_vec, rat, rat_str, vec
+from .linalg import ZERO, Vec, rat, rat_str, vec
 
 
 class NodeRef(NamedTuple):
@@ -165,12 +165,13 @@ def classify_layers(net: ReluNetwork) -> NetworkClass:
     """Per-layer degeneracy (a zero weight row) and genericity (the layer's
     solution-set arrangement is generic); network flags are conjunctions over
     all layer maps, the output map included."""
-    from .arrangement import is_generic, layer_arrangement  # avoids an import cycle
+    from .arrangement import generic_rows  # avoids an import cycle
 
     classes = []
     for layer in net.layers:
-        degenerate = any(is_zero_vec(row) for row in layer.weights)
-        classes.append(LayerClass(degenerate, is_generic(layer_arrangement(layer))))
+        # a layer's integer rows are positive multiples of its augmented rows
+        degenerate = any(not any(r[:-1]) for r in layer.rows)
+        classes.append(LayerClass(degenerate, generic_rows(layer.rows, layer.in_dim)))
     return NetworkClass(
         tuple(classes),
         any(c.degenerate for c in classes),
@@ -251,9 +252,15 @@ def load_network(path) -> ReluNetwork:
 
 
 def network_hash(net: ReluNetwork) -> str:
+    return json_hash(network_to_json(net))
+
+
+def json_hash(data: dict) -> str:
+    """The hash of a network's JSON (``network_to_json``): a prefix of the
+    SHA-256 of its sorted dump."""
     # hashlib maps OpenSSL (~3.5 MB resident): imported here, only a process
     # that hashes a network, such as an experiment, pays for it
     import hashlib
 
-    blob = json.dumps(network_to_json(net), sort_keys=True).encode()
+    blob = json.dumps(data, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]

@@ -435,6 +435,8 @@ def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
         ({"distribution": "dyadic", "dyadic_exp": "3"}, "dyadic_exp must be an integer"),
         ({"threshold_retries": "4"}, "threshold_retries must be an integer"),
         ({"distribution": "dyadic", "dyadic_exp": -2}, "dyadic_exp must be nonnegative"),
+        ({"distribution": "dyadic", "dyadic_exp": 20000}, "dyadic_exp must be at most 14284"),
+        ({"distribution": "dyadic", "dyadic_exp": 1000000}, "dyadic_exp must be at most 14284"),
         ({"threshold_range": "x"}, "threshold_range must be a pair [lo, hi]"),
         ({"threshold_range": 5}, "threshold_range must be a pair [lo, hi]"),
         ({"threshold_range": ["1", "0"]}, "threshold_range must be a pair [lo, hi] with lo <= hi"),
@@ -447,6 +449,8 @@ def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
         "string-dyadic-exp",
         "string-threshold-retries",
         "negative-dyadic-exp",
+        "unwritable-dyadic-exp",
+        "huge-dyadic-exp",
         "string-threshold-range",
         "number-threshold-range",
         "reversed-threshold-range",

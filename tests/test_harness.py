@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from relugeom.harness import (
+    MAX_DYADIC_EXP,
     NO_THRESHOLD,
     ExperimentConfig,
     replay,
@@ -12,7 +13,7 @@ from relugeom.harness import (
     sample_network,
 )
 from relugeom.network import evaluate, network_hash
-from relugeom.linalg import vec
+from relugeom.linalg import MAX_DECIMAL_EXPONENT, vec
 
 
 def cfg_of(**kwargs):
@@ -58,6 +59,12 @@ def test_config_validation():
         cfg_of(bound=-1)
     with pytest.raises(ValueError):
         cfg_of()._replace(trials=0)
+    # 2**MAX_DYADIC_EXP is the largest power of 2 with at most
+    # MAX_DECIMAL_EXPONENT digits, so every dyadic denominator can be written
+    assert 2**MAX_DYADIC_EXP < 10**MAX_DECIMAL_EXPONENT <= 2 ** (MAX_DYADIC_EXP + 1)
+    assert cfg_of(distribution="dyadic", dyadic_exp=MAX_DYADIC_EXP).dyadic_exp == MAX_DYADIC_EXP
+    with pytest.raises(ValueError, match="dyadic_exp must be at most 14284"):
+        cfg_of(distribution="dyadic", dyadic_exp=MAX_DYADIC_EXP + 1)
 
 
 def test_config_json_roundtrip():

@@ -4,7 +4,8 @@
 The import runs in a fresh ``python -S`` child, so neither pytest nor
 site-packages has loaded anything first.  ``dataclasses`` pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``, and each ``@dataclass``
-class then compiles its generated methods; ``hashlib`` maps OpenSSL.  The
+class then compiles its generated methods; ``hashlib`` maps OpenSSL;
+``pathlib`` pulls in ``urllib.parse`` and ``fnmatch``.  The
 check counts modules and times nothing, so it is deterministic.  Every
 package module still loads at import, so that a tracer installed after it
 can patch them all.
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("dataclasses", "inspect", "hashlib")
+HEAVY = ("dataclasses", "inspect", "hashlib", "pathlib")
 
 
 def test_cli_import_loads_every_module_and_nothing_heavy():
