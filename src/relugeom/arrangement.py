@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .complexes import Cell
 from .linalg import (
     IVec,
-    RowBasis,
     Vec,
     affine_solution,
     dot,
@@ -255,13 +254,5 @@ def face_of_positive_region(a: CoorientedArrangement, theta: RegionCode):
     )
     witness = feasible_point(system, strict=range(len(system.inequalities)))
     assert witness is not None  # generic n-of-n arrangements realize every face
-    basis = RowBasis(n)
-    for (w, _), bit in zip(a.hyperplanes, theta):
-        if not bit:
-            basis.add(w)
-    return Cell(
-        sign=sign,
-        point=homogeneous(witness),
-        dim=n - basis.rank,
-        eq_basis=basis,
-    )
+    # the normals are independent, so each equality takes one dimension
+    return Cell(sign=sign, point=homogeneous(witness), dim=sum(sign))

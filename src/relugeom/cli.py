@@ -76,13 +76,10 @@ def _emit(data: dict, out: str | None):
 
 def auto_threshold(cpx) -> Fraction:
     """The smallest-denominator transversal rational within the range of F
-    over the complex's vertices and constant cells."""
+    over the complex's constant cells: its minimal faces, which are its
+    vertices when it has any."""
     bad = cpx.constant_values
-    values = {c.witness_value() for c in cpx.cells.values() if c.dim == 0} | bad
-    if values:
-        lo, hi = min(values), max(values)
-    else:
-        lo, hi = Fraction(0), Fraction(1)
+    lo, hi = min(bad), max(bad)
     if lo == hi:
         lo, hi = lo - 1, hi + 1
     return threshold_between(lo, hi, bad)
@@ -185,7 +182,7 @@ def cmd_experiment(args) -> int:
                 data = json.load(fh)
         except FileNotFoundError:
             raise CliError(f"no such file: {args.config}", EXIT_INPUT)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer past the digit limit
             raise CliError(f"{args.config}: {exc}", EXIT_INPUT)
         if not isinstance(data, dict):
             raise CliError(f"{args.config}: an experiment config must be a JSON object", EXIT_INPUT)

@@ -3,11 +3,11 @@
 Input space is carved into cells keyed by ternary sign vectors: one
 coordinate per hidden unit (layer-major order), holding the sign of that
 unit's pre-activation node map on the cell.  A cell stores its sign vector,
-a witness point, its dimension, the span of its equality normals and the
-affine maps of its activation pattern, but no H-representation: its
-faces, vertices, edge geometry and boundedness are read off the face
-lattice.  The network is affine on every cell, and the stored restriction
-realizes that affine map exactly.
+a witness point, its dimension and the affine maps of its activation
+pattern, but no H-representation: its faces, vertices, edge geometry,
+boundedness and the constancy of F and of the node maps are read off the
+face lattice.  The network is affine on every cell, and the stored
+restriction realizes that affine map exactly.
 
 Layers are processed in order, and inside a layer node by node: each pass
 splits every cell of the complete complex by its node map.  Each cell
@@ -48,7 +48,6 @@ from .affine import AffineMap
 from .linalg import (
     IVec,
     Row,
-    RowBasis,
     Vec,
     dot,
     idot,
@@ -80,14 +79,12 @@ class Cell:
         sign: tuple[int, ...],
         point: IVec,
         dim: int,
-        eq_basis: RowBasis,
         prefix: AffineMap | None = None,
         restriction: AffineMap | None = None,
     ):
         self.sign = sign
         self.point = point  # the witness, a point of the relative interior, as (X, d)
         self.dim = dim
-        self.eq_basis = eq_basis
         # the masked composite of the processed layers, and F as an affine map
         # on this cell: integer rows over one denominator, each row a positive
         # multiple of its form, so a primitive row is the form's integer vector
@@ -111,13 +108,6 @@ class Cell:
 
 def sign_key(sign: Sequence[int]) -> str:
     return "".join("+" if s > 0 else "-" if s < 0 else "0" for s in sign)
-
-
-def cell_is_constant(cell: Cell) -> bool:
-    """Whether F is constant on the cell: the restriction's gradient is
-    orthogonal to the cell's affine hull, i.e. lies in the span of the
-    active equality normals."""
-    return cell.eq_basis.contains(cell.restriction.rows[0][:-1])
 
 
 class CanonicalComplex:
@@ -158,9 +148,13 @@ class CanonicalComplex:
     @cached_property
     def constant_values(self) -> frozenset[Fraction]:
         """The values F takes on cells where it is constant: exactly the
-        thresholds at which transversality fails."""
+        thresholds at which transversality fails.  F is constant along the
+        lineality space L, so on the minimal faces (the cells of dimension
+        dim L), and a cell where F is constant has that value at the
+        minimal faces of its closure."""
         require_restrictions(self)
-        return frozenset(c.witness_value() for c in self.cells.values() if cell_is_constant(c))
+        k = len(self.lineality)
+        return frozenset(c.witness_value() for c in self.cells.values() if c.dim == k)
 
 
 def require_restrictions(cpx: CanonicalComplex) -> None:
@@ -244,14 +238,8 @@ def face_pairs(cpx: CanonicalComplex) -> Iterable[tuple[tuple[int, ...], tuple[i
 # --- construction -----------------------------------------------------------
 
 
-def _extend(cell: Cell, f: IVec, s: int, point: IVec, add_eq: bool = False) -> Cell:
-    basis = cell.eq_basis
-    dim = cell.dim
-    if add_eq:
-        basis = basis.copy()
-        basis.add(f[:-1])
-        dim -= 1
-    return Cell(cell.sign + (s,), point, dim, basis, cell.prefix)
+def _extend(cell: Cell, s: int, point: IVec, cut: bool = False) -> Cell:
+    return Cell(cell.sign + (s,), point, cell.dim - cut, cell.prefix)
 
 
 def _combine(a: int, p: IVec, b: int, q: IVec) -> IVec:
@@ -320,30 +308,22 @@ def _children(cell: Cell, f: IVec, faces: _Faces) -> list[Cell]:
     the primitive integer form f."""
     p = cell.point
     v = idot(f, p)
-    if cell.eq_basis.contains(f[:-1]):
-        # constant on the cell's affine hull: a fixed sign, no split
-        return [_extend(cell, f, (v > 0) - (v < 0), p)]
     if v == 0:
-        # nonconstant and vanishing at a relative-interior point: cuts the cell
         plus = faces.side_witness(cell, f, v, +1)
+        if plus is None:
+            # f <= 0 on the cell and 0 at a relative-interior point: f = 0 there
+            return [_extend(cell, 0, p)]
+        # nonconstant and vanishing at a relative-interior point: cuts the cell
         minus = faces.side_witness(cell, f, v, -1)
-        assert plus is not None and minus is not None
-        return [
-            _extend(cell, f, 1, plus),
-            _extend(cell, f, -1, minus),
-            _extend(cell, f, 0, p, add_eq=True),
-        ]
+        assert minus is not None
+        return [_extend(cell, 1, plus), _extend(cell, -1, minus), _extend(cell, 0, p, cut=True)]
     s = 1 if v > 0 else -1
     other = faces.side_witness(cell, f, v, -s)
     if other is None:
-        return [_extend(cell, f, s, p)]
+        return [_extend(cell, s, p)]
     # the zero of f on the segment [p, other]
     mid = _combine(abs(idot(f, other)), p, abs(v), other)
-    return [
-        _extend(cell, f, s, p),
-        _extend(cell, f, -s, other),
-        _extend(cell, f, 0, mid, add_eq=True),
-    ]
+    return [_extend(cell, s, p), _extend(cell, -s, other), _extend(cell, 0, mid, cut=True)]
 
 
 def _orthogonal_part(basis: list[IVec], f: IVec) -> list[IVec]:
@@ -368,7 +348,7 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
     upto = m if through_layers is None else through_layers
     if not 0 <= upto <= m:
         raise ValueError(f"through_layers must lie in [0, {m}]")
-    root = Cell((), (0,) * n0 + (1,), n0, RowBasis(n0), AffineMap.identity(n0))
+    root = Cell((), (0,) * n0 + (1,), n0, AffineMap.identity(n0))
     cells: dict[tuple[int, ...], Cell] = {(): root}
     coords: list[CoordInfo] = []
     failures: set[NodeRef] = set()
@@ -390,9 +370,12 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
                 pre = layer.compose(cell.prefix)
                 shared[id(cell.prefix)] = pre, [primitive(r) for r in pre.rows]
             pre, forms = shared[id(cell.prefix)]
-            for j, f in enumerate(forms):
-                if idot(f, cell.point) == 0 and cell.eq_basis.contains(f[:-1]):
-                    failures.add(NodeRef(i, j))
+            if cell.dim == len(lineality):
+                # a node map is zero on a whole cell iff it is zero on a
+                # minimal face p + L of the cell's closure
+                for j, f in enumerate(forms):
+                    if idot(f, cell.point) == 0 and not any(idot(f, line) for line in lineality):
+                        failures.add(NodeRef(i, j))
             pieces.append((cell, pre, forms))
         for j in range(width):
             faces = _Faces([piece for piece, _, _ in pieces], lineality)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 from .affine import AffineMap
 from .complexes import CanonicalComplex, build_complex
-from .linalg import rat, rat_str
+from .linalg import MAX_DECIMAL_EXPONENT, rat, rat_str
 from .network import ReluNetwork, classify_layers, json_hash, network_from_json, network_to_json
 from .topology import (
     FAIL,
@@ -32,7 +32,7 @@ CHECKS = ("transversal", "johnson", "one_bounded")
 DISTRIBUTIONS = ("integer", "dyadic")
 NO_THRESHOLD = "no_transversal_threshold"
 # The largest k for which 2**k has at most MAX_DECIMAL_EXPONENT digits: a
-# larger dyadic denominator could not be written to a record.
+# longer numerator or denominator could not be written to a record.
 MAX_DYADIC_EXP = 14284
 
 
@@ -63,8 +63,18 @@ class ExperimentConfig(_ConfigFields):
         for name in ("bound", "dyadic_exp", "threshold_retries"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.dyadic_exp > MAX_DYADIC_EXP:
-            raise ValueError(f"dyadic_exp must be at most {MAX_DYADIC_EXP}")
+        # a drawn numerator reaches max(bound, 1)·2**dyadic_exp, which must be
+        # writable: its bit length decides, but at MAX_DYADIC_EXP + 1 bits,
+        # the one length at which the number itself is built and compared
+        top = max(self.bound, 1)
+        bits = top.bit_length() + self.dyadic_exp
+        if bits > MAX_DYADIC_EXP and (
+            bits > MAX_DYADIC_EXP + 1 or top << self.dyadic_exp >= 10**MAX_DECIMAL_EXPONENT
+        ):
+            raise ValueError(
+                f"dyadic_exp must be at most {MAX_DYADIC_EXP}, and less when bound > 1: "
+                f"bound·2**dyadic_exp must have at most {MAX_DECIMAL_EXPONENT} digits"
+            )
         if self.check not in CHECKS:
             raise ValueError(f"unknown check {self.check!r}")
         if self.distribution not in DISTRIBUTIONS:

@@ -139,7 +139,7 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
 
 
 class RowBasis:
-    """Incremental row-echelon basis for span membership and rank queries.
+    """Incremental row-echelon basis for rank queries.
 
     Fraction-free: each basis row is a primitive integer vector, and a row
     r is reduced against a basis row with pivot entry p by r <- p·r - f·row,
@@ -149,17 +149,14 @@ class RowBasis:
 
     __slots__ = ("dim", "_rows")
 
-    def __init__(self, dim: int, rows: list[tuple[int, IVec]] | None = None):
+    def __init__(self, dim: int):
         self.dim = dim
         # list of (pivot column, primitive integer row), kept sorted by pivot
-        self._rows: list[tuple[int, IVec]] = list(rows) if rows else []
+        self._rows: list[tuple[int, IVec]] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    def copy(self) -> "RowBasis":
-        return RowBasis(self.dim, self._rows)
 
     def _reduce(self, w: Sequence[Fraction]) -> Sequence[int]:
         r = w if all(type(x) is int for x in w) else primitive(w)
@@ -173,15 +170,6 @@ class RowBasis:
                     f //= g
                 r = [p * x - f * y for x, y in zip(r, row)]
         return r
-
-    def contains(self, w: Sequence[Fraction]) -> bool:
-        """Whether w lies in the span; the rank answers it when the span is
-        0 or all of the space."""
-        if not self._rows:
-            return not any(w)
-        if len(self._rows) == self.dim:
-            return True
-        return not any(self._reduce(w))
 
     def add(self, w: Sequence[Fraction]) -> bool:
         """Add w to the span. Returns True iff the rank grew."""

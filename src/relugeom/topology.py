@@ -23,7 +23,6 @@ from .complexes import (
     Cell,
     as_complex,
     cell_bounded,
-    cell_is_constant,
     edge_geometry,
     refine_by_threshold,
     require_restrictions,
@@ -267,12 +266,12 @@ def max_subgraph(
     extreme = max(values.values()) if region == YES else min(values.values())
 
     flat_vertices = sorted(k[:-1] for k, v in values.items() if v == extreme)
+    # F is affine on a 1-cell of the bounded closure, so it is flat there
+    # iff it attains the extreme at the witness
     flat_edges = sorted(
         k[:-1]
         for k in member
-        if refined.cells[k].dim == 1
-        and cell_is_constant(refined.cells[k])
-        and refined.cells[k].witness_value() == extreme
+        if refined.cells[k].dim == 1 and refined.cells[k].witness_value() == extreme
     )
 
     graph_vertices = sorted(

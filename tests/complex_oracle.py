@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from cellhelpers import rows_system
-from matrix_oracle import nullspace, primitive_form, zeros
+from matrix_oracle import RowBasis, nullspace, primitive_form, zeros
 from relugeom import lp
 from relugeom.affine import AffineMap
 from relugeom.complexes import (
@@ -28,7 +28,6 @@ from relugeom.complexes import (
 from relugeom.linalg import (
     LinearSystem,
     Row,
-    RowBasis,
     Vec,
     dot,
     homogeneous,
@@ -39,10 +38,15 @@ from relugeom.network import NodeRef, ReluNetwork
 
 class RowCell(Cell):
     """A cell with its H-representation: per coordinate the primitive
-    integer form (w, c) whose sign on the cell is the coordinate's sign."""
+    integer form (w, c) whose sign on the cell is the coordinate's sign,
+    and the span of its equality normals, in which a form's gradient lies
+    iff the form is constant on the cell."""
 
-    def __init__(self, *args, rows: tuple[Row, ...] = (), **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(
+        self, sign, point, dim, eq_basis: RowBasis, prefix=None, *, rows: tuple[Row, ...] = ()
+    ):
+        super().__init__(sign, point, dim, prefix)
+        self.eq_basis = eq_basis
         self.rows = rows
 
 
@@ -150,3 +154,15 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
     return CanonicalComplex(
         cpx.ambient_dim, coords, refined, cpx.network, t, cpx.node_failures, lineality=cpx.lineality
     )
+
+
+def constant_values(cpx: CanonicalComplex) -> frozenset[Fraction]:
+    """F's values on the oracle's cells where its gradient lies in the span
+    of their equality normals: the per-cell test of constancy."""
+    require_restrictions(cpx)
+    values = set()
+    for cell in cpx.cells.values():
+        w, c = cell.restriction.row(0)
+        if cell.eq_basis.contains(w):
+            values.add(dot(w, cell.witness) + c)
+    return frozenset(values)

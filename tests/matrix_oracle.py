@@ -1,12 +1,12 @@
-"""Matrix products and solves over ``Fraction``, kept only as a test
-reference.
+"""Matrix products, solves and span membership over ``Fraction``, kept
+only as a test reference.
 
 ``relugeom.affine.AffineMap`` composes and masks integer rows over one
 denominator; these are the plain rational products it replaced, and the
-tests check the integer maps against them.  ``solve_square`` and
-``nullspace`` are what the row-based oracles (``cellhelpers``,
-``complex_oracle``) solve with; the package reads the same facts off the
-face lattice.
+tests check the integer maps against them.  ``solve_square``,
+``nullspace`` and ``RowBasis.contains`` are what the row-based oracles
+(``cellhelpers``, ``complex_oracle``) solve and test constancy with; the
+package reads the same facts off the face lattice.
 """
 
 from __future__ import annotations
@@ -14,7 +14,30 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from relugeom import linalg
 from relugeom.linalg import ZERO, IVec, Mat, Vec, affine_solution, dot, primitive
+
+
+class RowBasis(linalg.RowBasis):
+    """The package's fraction-free row basis, with span membership: an
+    oracle cell keeps the span of its equality normals, and a form is
+    constant on the cell iff its gradient lies in that span."""
+
+    __slots__ = ()
+
+    def copy(self) -> "RowBasis":
+        out = RowBasis(self.dim)
+        out._rows = list(self._rows)
+        return out
+
+    def contains(self, w: Sequence[Fraction]) -> bool:
+        """Whether w lies in the span; the rank answers it when the span is
+        0 or all of the space."""
+        if not self._rows:
+            return not any(w)
+        if len(self._rows) == self.dim:
+            return True
+        return not any(self._reduce(w))
 
 
 def zeros(n: int) -> Vec:

@@ -437,6 +437,11 @@ def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
         ({"distribution": "dyadic", "dyadic_exp": -2}, "dyadic_exp must be nonnegative"),
         ({"distribution": "dyadic", "dyadic_exp": 20000}, "dyadic_exp must be at most 14284"),
         ({"distribution": "dyadic", "dyadic_exp": 1000000}, "dyadic_exp must be at most 14284"),
+        # at the default bound 9, numerators of more than 4300 digits
+        (
+            {"distribution": "dyadic", "dyadic_exp": 14284},
+            "invalid experiment config: dyadic_exp must be at most 14284, and less when bound > 1",
+        ),
         ({"threshold_range": "x"}, "threshold_range must be a pair [lo, hi]"),
         ({"threshold_range": 5}, "threshold_range must be a pair [lo, hi]"),
         ({"threshold_range": ["1", "0"]}, "threshold_range must be a pair [lo, hi] with lo <= hi"),
@@ -451,6 +456,7 @@ def test_malformed_network_json_exits_2(tmp_path, capsys, data, message):
         "negative-dyadic-exp",
         "unwritable-dyadic-exp",
         "huge-dyadic-exp",
+        "unwritable-numerator",
         "string-threshold-range",
         "number-threshold-range",
         "reversed-threshold-range",
@@ -465,6 +471,16 @@ def test_experiment_bad_field_exits_2(tmp_path, capsys, fields, message):
     cfg_path.write_text(json.dumps({"architecture": [2, 3, 1], "trials": 1, "seed": 1, **fields}))
     assert main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+def test_experiment_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    """json.load refuses a 4400-digit bound with a plain ValueError, not a
+    JSONDecodeError."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"architecture": [2, 3, 1], "trials": 1, "seed": 1, "bound": ' + "9" * 4400 + "}")
+    assert main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert "4300 digits" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_config_not_an_object_exits_2(tmp_path, capsys):

@@ -75,7 +75,7 @@ def test_a_dropped_cell_or_a_wrong_dimension_breaks_them():
         assert euler_defects(complex_with(cpx, cells=dropped))
         cell = cpx.cells[key]
         dim = cell.dim + rng.choice([-1, 1])
-        wrong = Cell(cell.sign, cell.point, dim, cell.eq_basis, cell.prefix, cell.restriction)
+        wrong = Cell(cell.sign, cell.point, dim, cell.prefix, cell.restriction)
         assert euler_defects(complex_with(cpx, cells={**cpx.cells, key: wrong}))
 
 

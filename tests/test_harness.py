@@ -62,9 +62,36 @@ def test_config_validation():
     # 2**MAX_DYADIC_EXP is the largest power of 2 with at most
     # MAX_DECIMAL_EXPONENT digits, so every dyadic denominator can be written
     assert 2**MAX_DYADIC_EXP < 10**MAX_DECIMAL_EXPONENT <= 2 ** (MAX_DYADIC_EXP + 1)
-    assert cfg_of(distribution="dyadic", dyadic_exp=MAX_DYADIC_EXP).dyadic_exp == MAX_DYADIC_EXP
+    for bound in (0, 1):
+        cfg = cfg_of(distribution="dyadic", dyadic_exp=MAX_DYADIC_EXP, bound=bound)
+        assert cfg.dyadic_exp == MAX_DYADIC_EXP
     with pytest.raises(ValueError, match="dyadic_exp must be at most 14284"):
-        cfg_of(distribution="dyadic", dyadic_exp=MAX_DYADIC_EXP + 1)
+        cfg_of(distribution="dyadic", dyadic_exp=MAX_DYADIC_EXP + 1, bound=1)
+
+
+def test_config_caps_the_digits_of_a_numerator():
+    """A drawn numerator reaches max(bound, 1)·2**dyadic_exp: the config is
+    refused exactly when that has more than MAX_DECIMAL_EXPONENT digits."""
+    limit = 10**MAX_DECIMAL_EXPONENT
+
+    def accepted(bound, k):
+        try:
+            cfg_of(distribution="dyadic", bound=bound, dyadic_exp=k)
+        except ValueError as exc:
+            assert "must have at most 4300 digits" in str(exc)
+            return False
+        return True
+
+    for bound in (0, 1, 2, 3, 5, 8, 9, 10, 100, 12345, 2**40 + 1):
+        for k in range(MAX_DYADIC_EXP - 50, MAX_DYADIC_EXP + 3):
+            assert accepted(bound, k) == ((max(bound, 1) << k) < limit), (bound, k)
+    # a default bound (9) at the dyadic_exp cap, and bounds of 4300+ digits
+    assert not accepted(9, MAX_DYADIC_EXP)
+    assert accepted(limit - 1, 0) and not accepted(limit, 0)
+    with pytest.raises(ValueError, match="at most 4300 digits"):
+        cfg_of(bound=10**4400)  # the integer distribution, dyadic_exp 3
+    for k in (20000, 10**6, 10**100):
+        assert not accepted(0, k) and not accepted(9, k)
 
 
 def test_config_json_roundtrip():

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import net_of, random_net, rational_net
+from matrix_oracle import RowBasis
 from relugeom.affine import AffineMap
 from relugeom.arrangement import is_generic, layer_arrangement
 from relugeom.complexes import CanonicalComplex
@@ -27,7 +28,7 @@ from relugeom.harness import (
     run_trial,
     sample_network,
 )
-from relugeom.linalg import RowBasis, is_zero_vec, rank
+from relugeom.linalg import is_zero_vec, rank
 from relugeom.network import ReluNetwork, classify_layers, network_hash, network_to_json
 from relugeom.transversality import analyze_network
 

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from matrix_oracle import mat_mul, nullspace, solve_square, transpose
+from matrix_oracle import RowBasis, mat_mul, nullspace, solve_square, transpose
 from relugeom.linalg import (
-    RowBasis,
     affine_solution,
     dot,
     mat,

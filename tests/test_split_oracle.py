@@ -19,7 +19,7 @@ from conftest import rational_net, random_net
 from relugeom import complexes, lp, topology
 from relugeom.cli import auto_threshold
 from relugeom.complexes import complex_to_json
-from relugeom.linalg import dot, idot
+from relugeom.linalg import idot
 
 ARCHITECTURES = [
     (1, 3, 1), (2, 3, 1), (2, 4, 1), (2, 2, 2, 1), (3, 3, 1, 1), (2, 1, 1),
@@ -187,19 +187,16 @@ def test_bounded_checks_do_not_follow_the_witnesses(runs):
 
 
 def test_constant_values_match_the_fraction_views(runs):
-    """constant_values reads F's integer row at the integer witness; the
-    Fraction views of the restriction give the same values."""
+    """constant_values reads F's integer row at the integer witnesses of the
+    minimal faces; the Fraction views of the restriction on the oracle's
+    cells, with their equality bases, give the same values."""
     pairs, _, _, _ = runs
     nonempty = 0
-    for cpx, refined, _, _ in pairs:
-        for source in (cpx, refined):
-            expected = set()
-            for cell in source.cells.values():
-                w, c = cell.restriction.row(0)
-                if cell.eq_basis.contains(w):
-                    expected.add(dot(w, cell.witness) + c)
-            assert source.constant_values == expected
-            nonempty += bool(expected)
+    for cpx, refined, expected, expected_refined in pairs:
+        for source, oracle in ((cpx, expected), (refined, expected_refined)):
+            values = complex_oracle.constant_values(oracle)
+            assert source.constant_values == values
+            nonempty += bool(values)
     assert nonempty > 100
 
 

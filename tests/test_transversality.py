@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from conftest import net_of, orthant_caveat_net, random_net, relu_of_x
-from relugeom import complexes
-from relugeom.complexes import build_complex, refine_by_threshold
+from relugeom.complexes import CanonicalComplex, build_complex, refine_by_threshold
 from relugeom.network import NodeRef
 from relugeom.topology import decision_topology, oriented_skeleton
 from relugeom.transversality import (
@@ -123,14 +123,18 @@ def test_complex_records_node_failures():
 
 
 def test_constant_cells_scanned_once_per_verdict(monkeypatch):
+    """analyze_network, decision_topology and nontransversal_thresholds
+    share one computation of a complex's constant values."""
     calls = []
-    real = complexes.cell_is_constant
-    monkeypatch.setattr(complexes, "cell_is_constant", lambda cell: calls.append(cell) or real(cell))
+    values = CanonicalComplex.constant_values.func
+    spy = cached_property(lambda cpx: calls.append(cpx) or values(cpx))
+    spy.__set_name__(CanonicalComplex, "constant_values")
+    monkeypatch.setattr(CanonicalComplex, "constant_values", spy)
     cpx, report = analyze_network(random_net(random.Random(204), (2, 3, 1)))
     t = max(report.nontransversal_thresholds, default=Fraction(0)) + 1
     decision_topology(cpx, t)
     assert nontransversal_thresholds(cpx) is cpx.constant_values
-    assert len(calls) == len(cpx.cells)
+    assert calls == [cpx]
 
 
 def test_truncated_complex_lacks_constant_values_and_slopes():
