@@ -265,19 +265,9 @@ class _Faces:
 
     @cached_property
     def rays(self) -> tuple[SignIndex, dict[Cell, IVec]]:
-        """The (dim L + 1)-cells with a single minimal face u in their
-        closure, and the direction of each, from u to its witness p:
-        u_d·p - p_d·u, which has last coordinate 0."""
-        cells = []
-        directions = {}
-        for cell in self.cells:
-            if cell.dim == len(self.lineality) + 1:
-                ends = self.minimal.closure(cell.sign)
-                if ends.bit_count() == 1:
-                    u, p = self.minimal.cells[ends.bit_length() - 1].point, cell.point
-                    cells.append(cell)
-                    directions[cell] = _combine(u[-1], p, -p[-1], u)
-        return SignIndex(cells), directions
+        """The rays, indexed, and the direction of each."""
+        directions = _ray_directions(self.cells, self.minimal, len(self.lineality))
+        return SignIndex(list(directions)), directions
 
     def side_witness(self, cell: Cell, f: IVec, v: int, side: int) -> IVec | None:
         """A point X of the cell with side·(f·X) > 0, or None when there is
@@ -301,6 +291,22 @@ class _Faces:
             if side * a > 0:
                 return _combine(abs(a), p, abs(v) + 1, d)
         return None
+
+
+def _ray_directions(cells: Iterable[Cell], minimal: SignIndex, k: int) -> dict[Cell, IVec]:
+    """The rays among ``cells``, k = dim L: the (k + 1)-cells with a single
+    minimal face u (a k-cell of ``minimal``) in their closure, and the
+    direction of each, from u to its witness p: u_d·p - p_d·u, which has
+    last coordinate 0."""
+    faces = minimal.of_dim(k)
+    directions = {}
+    for cell in cells:
+        if cell.dim == k + 1:
+            ends = minimal.closure(cell.sign) & faces
+            if ends.bit_count() == 1:
+                u, p = minimal.cells[ends.bit_length() - 1].point, cell.point
+                directions[cell] = _combine(u[-1], p, -p[-1], u)
+    return directions
 
 
 def _children(cell: Cell, f: IVec, faces: _Faces) -> list[Cell]:

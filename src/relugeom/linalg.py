@@ -66,8 +66,15 @@ class DigitLimitError(ValueError):
 
 def rat_str(q: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is 1."""
+    return ratio_str(q.numerator, q.denominator)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """Serialize the rational num/den, den > 0, in lowest terms as "p/q", or
+    "p" when it is an integer: one gcd, and no ``Fraction`` is built."""
+    g = gcd(num, den)
     try:
-        return str(q)
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
     except ValueError as exc:
         raise DigitLimitError(
             f"cannot write a rational of more than {sys.get_int_max_str_digits()} digits, "

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .affine import AffineMap
-from .linalg import ZERO, Vec, rat, rat_str, vec
+from .linalg import ZERO, Vec, rat, ratio_str, vec
 
 
 class NodeRef(NamedTuple):
@@ -195,12 +195,13 @@ def parameter_count(architecture: Sequence[int]) -> int:
 
 
 def network_to_json(net: ReluNetwork) -> dict:
+    """Each entry written from the layer's integer rows over its denominator."""
     return {
         "architecture": list(net.architecture),
         "layers": [
             {
-                "W": [[rat_str(v) for v in row] for row in layer.weights],
-                "b": [rat_str(v) for v in layer.bias],
+                "W": [[ratio_str(x, layer.den) for x in row[:-1]] for row in layer.rows],
+                "b": [ratio_str(row[-1], layer.den) for row in layer.rows],
             }
             for layer in net.layers
         ],

@@ -1,12 +1,25 @@
 """Decision-region topology at a transversal threshold.
 
-The threshold-refined complex classifies every cell into N = {F < t},
-B = {F = t}, or Y = {F > t} by its trailing sign.  Connected components of
-each region are computed by a breadth-first search over the face relation,
-read off the complex's ``SignIndex``, which matches topological components
-because every path through an open polyhedral union can be pushed through
-relative interiors of shared faces.  The 1-skeleton of
-the unrefined complex carries the partial orientation in which F increases;
+F is affine on each cell of the complex and constant along the lineality
+space L, and the closure of a cell is conv(minimal faces) + cone(rays) + L.
+So the values of F at the minimal faces of its closure and its slopes
+along the rays decide which of N = {F < t}, B = {F = t} and Y = {F > t} a
+cell meets: Y when F > t at one of those minimal faces or F increases
+along one of those rays, N likewise, and B when it meets both.  A
+transversal t is no minimal face's value.  Each region is the union of the
+pieces its cells cut from it, and the threshold refinement, whose cells
+are those pieces, relates two pieces of one region as a face of the other
+exactly when their cells are so related.  So components are found on the
+unrefined complex, by a breadth-first search over the face relation read
+off the complex's ``SignIndex``; they match topological components because
+every path through an open polyhedral union can be pushed through relative
+interiors of shared faces.  Every closed piece has L as lineality space, so
+without a vertex none is bounded; with one, a Y piece is bounded iff no
+ray of its cell's closure has slope >= 0, an N piece iff none has slope
+<= 0, and a B piece iff no ray has slope 0 and the rays do not go both
+up and down (a positive sum of one of each is flat).  The refined complex
+itself is built only when a caller reads it.  The 1-skeleton of the
+unrefined complex carries the partial orientation in which F increases;
 bounded components are certified by flat extremal subgraphs whose incident
 boundary-crossing edges all point the same way.
 """
@@ -14,21 +27,22 @@ boundary-crossing edges all point the same way.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .complexes import (
     RAY,
     SEGMENT,
     CanonicalComplex,
-    Cell,
+    _level_form,
+    _ray_directions,
     as_complex,
-    cell_bounded,
     edge_geometry,
     refine_by_threshold,
     require_restrictions,
     sign_key,
 )
-from .linalg import Vec, dot, rat_str
+from .linalg import Vec, dot, idot, rat_str
 from .network import ReluNetwork, network_to_json
 from .transversality import nontransversal_thresholds
 
@@ -63,13 +77,22 @@ class RegionComponent(NamedTuple):
     bounded: bool
 
 
-class DecisionTopology(NamedTuple):
+class _TopologyFields(NamedTuple):
     threshold: Fraction
     yes: tuple[RegionComponent, ...]
     boundary: tuple[RegionComponent, ...]
     no: tuple[RegionComponent, ...]
-    complex: CanonicalComplex  # the refined complex
     base: CanonicalComplex  # the unrefined complex
+
+
+class DecisionTopology(_TopologyFields):
+    """The components of Y, B and N; component cells are keyed in the
+    refined complex, which ``complex`` builds on first read."""
+
+    @cached_property
+    def complex(self) -> CanonicalComplex:
+        """The complex refined by the threshold."""
+        return refine_by_threshold(self.base, self.threshold)
 
     def components(self, region: str) -> tuple[RegionComponent, ...]:
         return {YES: self.yes, BOUNDARY: self.boundary, NO: self.no}[region]
@@ -97,12 +120,12 @@ class DecisionTopology(NamedTuple):
         }
 
 
-def _region_components(cpx: CanonicalComplex, region: int) -> list[list[Cell]]:
+def _region_components(cpx: CanonicalComplex, region: int) -> list[int]:
     """Connected components under the face relation of the cells in the
-    bitset ``region`` of ``cpx.index``, each in key order and ordered by
-    their least keys: a function of the keys alone, not of the order in
-    which construction met the cells.  A breadth-first search, each step to
-    the faces and cofaces of the cells just reached."""
+    bitset ``region`` of ``cpx.index``, as bitsets ordered by their least
+    keys: a function of the keys alone, not of the order in which
+    construction met the cells.  A breadth-first search, each step to the
+    faces and cofaces of the cells just reached."""
     index = cpx.index
     comps = []
     while region:
@@ -115,30 +138,60 @@ def _region_components(cpx: CanonicalComplex, region: int) -> list[list[Cell]]:
             frontier = reach & region
             region ^= frontier
             comp |= frontier
-        comps.append(index.members(comp))
+        comps.append(comp)
     return comps
 
 
 def decision_topology(source: CanonicalComplex | ReluNetwork, t: Fraction) -> DecisionTopology:
-    """Components of Y, B, N at a transversal threshold, with boundedness."""
+    """Components of Y, B, N at a transversal threshold, with boundedness,
+    from one star query per minimal face and per ray of the complex."""
     cpx = as_complex(source)
     t = Fraction(t)
     bad = nontransversal_thresholds(cpx)
     if t in bad:
         raise NonTransversalThresholdError(t, bad)
-    refined = refine_by_threshold(cpx, t)
-    index = refined.index
-    # the trailing coordinate is the sign of F - t
-    yes, no = index.plus[-1], index.minus[-1]
-    regions = {YES: yes, BOUNDARY: index.all & ~(yes | no), NO: no}
+    index = cpx.index
+    k = len(cpx.lineality)
+    # the cells with a minimal face above t, or below it, in their closure
+    above = below = 0
+    for face in index.members(index.of_dim(k)):
+        if idot(_level_form(face.restriction, t), face.point) > 0:
+            above |= index.star(face.sign)
+        else:
+            below |= index.star(face.sign)
+    # the cells with a ray in their closure along which F goes up, down, or
+    # stays flat
+    up = down = flat = 0
+    rays = _ray_directions(index.members(index.of_dim(k + 1)), index, k)
+    for ray, direction in rays.items():
+        slope = idot(ray.restriction.rows[0], direction)
+        if slope > 0:
+            up |= index.star(ray.sign)
+        elif slope < 0:
+            down |= index.star(ray.sign)
+        else:
+            flat |= index.star(ray.sign)
+    yes, no = above | up, below | down
+    # every closed piece has lineality space L, so none is bounded unless
+    # L = 0; then a piece is bounded iff no ray of its cell's closure leaves
+    # it, and per region these are the cells whose piece such a ray leaves
+    pointed = not cpx.lineality
+    regions = (
+        (YES, yes, 1, up | flat),
+        (BOUNDARY, yes & no, 0, (up | flat) & (down | flat)),
+        (NO, no, -1, down | flat),
+    )
     out: dict[str, tuple[RegionComponent, ...]] = {}
-    for region, bits in regions.items():
-        comps = []
-        for members in _region_components(refined, bits):
-            bounded = all(cell_bounded(refined, cell) for cell in members)
-            comps.append(RegionComponent(region, tuple([cell.sign for cell in members]), bounded))
-        out[region] = tuple(comps)
-    return DecisionTopology(t, out[YES], out[BOUNDARY], out[NO], refined, cpx)
+    for region, bits, trailing, unbounded in regions:
+        out[region] = tuple(
+            RegionComponent(
+                region,
+                tuple([cell.sign + (trailing,) for cell in index.members(comp)]),
+                pointed and not comp & unbounded,
+            )
+            for comp in _region_components(cpx, bits)
+        )
+    return DecisionTopology(t, out[YES], out[BOUNDARY], out[NO], cpx)
 
 
 # --- the oriented 1-skeleton -------------------------------------------------

@@ -5,12 +5,14 @@ import pytest
 
 from matrix_oracle import RowBasis, mat_mul, nullspace, solve_square, transpose
 from relugeom.linalg import (
+    DigitLimitError,
     affine_solution,
     dot,
     mat,
     rank,
     rat,
     rat_str,
+    ratio_str,
     vec,
 )
 
@@ -48,6 +50,23 @@ def test_rat_refuses_huge_decimal_exponents():
 def test_rat_str_roundtrip():
     for s in ["3/4", "-2", "0", "7/3"]:
         assert rat_str(rat(s)) == s
+
+
+def test_ratio_str_writes_what_fraction_writes():
+    rng = random.Random(5)
+    for den in (1, 2, 3, 6, 8, 12, 2**40, 10**30 + 7):
+        for num in [0, 1, -1, den, -den, 2 * den] + [rng.randint(-3 * den, 3 * den) for _ in range(20)]:
+            assert ratio_str(num, den) == str(Fraction(num, den)) == rat_str(Fraction(num, den))
+
+
+def test_ratio_str_refuses_a_part_too_long_to_write():
+    big = 10**4300  # 4301 digits
+    for num, den in ((big, 1), (-big, 3), (1, big), (2 * big, 2), (big + 1, big)):
+        with pytest.raises(DigitLimitError, match="int-to-str limit"):
+            ratio_str(num, den)
+        with pytest.raises(DigitLimitError, match="int-to-str limit"):
+            rat_str(Fraction(num, den))
+    assert ratio_str(big * 7, 7 * 10) == "1" + "0" * 4299
 
 
 def test_rank_identity_is_two():

@@ -11,9 +11,10 @@ import pytest
 
 import cellhelpers
 import lp_oracle
-from relugeom import arrangement, complexes, lp, topology
+from relugeom import arrangement, complexes, lp
 from relugeom.harness import ExperimentConfig, run_trial
 from relugeom.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearSystem, StandardLP
+from relugeom.network import network_from_json
 
 
 def standard_answer(cert: lp.Certificate, std: StandardLP):
@@ -142,18 +143,11 @@ def test_unbounded_and_infeasible_agree():
 def trial_lps(monkeypatch):
     """Record the LP calls that the first seeded (3,3,1,1) Johnson trials
     make, plus those of the LP boundedness oracle on every cell of each
-    trial's refined complex, plus the strict system of every such cell.
-    The trials themselves make no LP: they build, refine and decide
-    boundedness from the face lattice.  The strict cell systems keep
-    trial-shaped strict-feasibility LPs under test."""
+    trial's complex refined at its threshold, plus the strict system of
+    every such cell.  The trials themselves make no LP: they build the
+    complex and decide boundedness from its face lattice.  The strict cell
+    systems keep trial-shaped strict-feasibility LPs under test."""
     calls = []
-    refined = []
-    refine = topology.refine_by_threshold
-
-    def spy_refine(cpx, t):
-        refined.append(refine(cpx, t))
-        return refined[-1]
-
     feasible, optimize = lp.feasible_point, lp.lp_optimize
 
     def spy_feasible(system, strict=()):
@@ -169,12 +163,15 @@ def trial_lps(monkeypatch):
         if hasattr(module, "feasible_point"):
             monkeypatch.setattr(module, "feasible_point", spy_feasible)
     monkeypatch.setattr(lp, "lp_optimize", spy_optimize)
-    monkeypatch.setattr(topology, "refine_by_threshold", spy_refine)
     cfg = ExperimentConfig(
         architecture=(3, 3, 1, 1), trials=3, seed=64002, check="johnson", bound=9
     )
+    refined = []
     for index in range(3):
-        run_trial(cfg, index)
+        record = run_trial(cfg, index)
+        assert record.threshold is not None
+        cpx = complexes.build_complex(network_from_json(record.network))
+        refined.append(complexes.refine_by_threshold(cpx, record.threshold))
     for cpx in refined:
         for cell in cpx.sorted_cells():
             lp.recession_cone_is_trivial(cellhelpers.system(cpx, cell, closed=True)[0])

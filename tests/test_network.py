@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from relugeom.affine import AffineMap
-from relugeom.linalg import vec
+from relugeom.linalg import DigitLimitError, vec
 from relugeom.network import (
     NodeRef,
     ReluNetwork,
@@ -216,6 +216,30 @@ def test_json_roundtrip_and_hash_stability():
     assert network_hash(again) == network_hash(net)
     with pytest.raises(AttributeError):
         net.layers = again.layers
+
+
+def test_json_entries_come_from_the_integer_rows():
+    """network_to_json writes each entry from the layer's integer rows: the
+    same strings as the Fraction views, which it leaves unbuilt."""
+    rng = random.Random(23)
+    for den in (1, 3, 8, 12):
+        for arch in ((2, 3, 1), (3, 2, 2, 1)):
+            entry = lambda: Fraction(rng.randint(-3 * den, 3 * den), den)
+            layers = [
+                ([[entry() for _ in range(n_in)] for _ in range(n_out)], [entry() for _ in range(n_out)])
+                for n_in, n_out in zip(arch, arch[1:])
+            ]
+            net = net_of(*layers)
+            data = network_to_json(net)
+            assert data["layers"] == [
+                {"W": [[str(x) for x in row] for row in w], "b": [str(x) for x in b]} for w, b in layers
+            ]
+            assert not any(layer.__dict__ for layer in net.layers)
+    big = 10**4300  # 4301 digits: too long to write
+    for rows, den in ((((big, 0),), 1), (((1, 2),), big)):
+        net = ReluNetwork((AffineMap(rows, den), AffineMap(((1, 0),), 1)))
+        with pytest.raises(DigitLimitError):
+            network_to_json(net)
 
 
 def test_json_rejects_bad_rational_and_architecture():

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import complex_oracle
+import topology_oracle
 from cellhelpers import cell_forms, contains, mask_in_closure, sign_mask
 from conftest import rational_net, random_net
 from relugeom import complexes, lp, topology
@@ -164,26 +165,20 @@ def test_construction_makes_no_lp(runs):
 
 
 def test_bounded_checks_do_not_follow_the_witnesses(runs):
-    """decision_topology asks cell_bounded about the same cells, in the same
-    order, and gives the same answer on the LP-free complex as on the
-    oracle's, whose witnesses and so whose cell order differ."""
+    """decision_topology gives the same components, in the same order and
+    with the same bounded flags, on the LP-free complex as on the oracle's,
+    whose witnesses and so whose cell order differ; and both agree with the
+    refinement oracle, which asks cell_bounded about every refined cell."""
     pairs, _, _, _ = runs
-    original = topology.cell_bounded
-    asked = []
-
-    def spy(cpx, cell):
-        asked.append(cell.sign)
-        return original(cpx, cell)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(topology, "cell_bounded", spy)
-        for cpx, refined, expected, _ in pairs:
-            seen = []
-            for source in (cpx, expected):
-                asked.clear()
-                out = topology.decision_topology(source, refined.threshold).to_json()
-                seen.append((list(asked), json.dumps(out, sort_keys=True)))
-            assert seen[0] == seen[1], cpx.network
+    bounded = 0
+    for cpx, refined, expected, _ in pairs:
+        want, _ = topology_oracle.decision_topology(cpx, refined.threshold)
+        for source in (cpx, expected):
+            got = topology.decision_topology(source, refined.threshold)
+            assert got[:4] == want[:4], cpx.network
+            assert json.dumps(got.to_json(), sort_keys=True) == json.dumps(want.to_json(), sort_keys=True)
+        bounded += any(want.bounded_counts().values())
+    assert bounded > 30
 
 
 def test_constant_values_match_the_fraction_views(runs):
