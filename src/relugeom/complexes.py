@@ -16,8 +16,11 @@ witnesses of a cell's new sides in the face lattice of the complex it cuts,
 with no LP: every closed cell has the same lineality space L (node maps
 factor through the first layer's affine map), so it is the convex hull of
 its minimal faces plus the cone of its rays plus L.  Cells of one
-activation pattern share their masked prefix, so each layer composes it,
-and each masked map and restriction is made, once per pattern.
+activation pattern share their masked prefix, so each layer composes it
+once per pattern.  A cell's masked prefix and the restriction of F are
+made on first read, once per pattern: the next layer reads the prefixes
+of every cell, but the last layer's maps are made only for the cells that
+some query reads, which a transversality check never does.
 
 The face relation is read off sign vectors alone: a cell lies in the
 closure of another iff its signs turn some +/- coordinates of the other
@@ -72,7 +75,14 @@ class CoordInfo(NamedTuple):
 
 class Cell:
     """One cell: the set where every tracked affine form has its stored sign.
-    Cells compare and hash by identity."""
+    Cells compare and hash by identity.
+
+    ``prefix`` is the masked composite of the processed layers and
+    ``restriction`` F as an affine map on the cell: integer rows over one
+    denominator, each row a positive multiple of its form, so a primitive
+    row is the form's integer vector.  Either is None when the cell lacks
+    it.  A built cell holds the ``_Pattern`` it was split from instead,
+    and reading either map makes both, once per activation pattern."""
 
     def __init__(
         self,
@@ -85,11 +95,21 @@ class Cell:
         self.sign = sign
         self.point = point  # the witness, a point of the relative interior, as (X, d)
         self.dim = dim
-        # the masked composite of the processed layers, and F as an affine map
-        # on this cell: integer rows over one denominator, each row a positive
-        # multiple of its form, so a primitive row is the form's integer vector
-        self.prefix = prefix
-        self.restriction = restriction
+        # unset maps are left to __getattr__, so a None does not shadow them
+        if prefix is not None:
+            self.prefix = prefix
+        if restriction is not None:
+            self.restriction = restriction
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks
+        if name != "prefix" and name != "restriction":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pattern = self.__dict__.get("_pattern")
+        if pattern is None:
+            return None
+        self.prefix, self.restriction = pattern.maps(self.sign)
+        return self.__dict__[name]
 
     @cached_property
     def witness(self) -> Vec:
@@ -158,9 +178,11 @@ class CanonicalComplex:
 
 
 def require_restrictions(cpx: CanonicalComplex) -> None:
-    """Raise ValueError unless every cell carries the restriction of F, which
-    a complex built through fewer than all hidden layers lacks."""
-    if any(cell.restriction is None for cell in cpx.cells.values()):
+    """Raise ValueError unless the cells carry the restriction of F, which
+    a complex built through fewer than all hidden layers lacks.  Decided
+    from the coordinates, so no restriction is made here."""
+    nodes = sum(co.kind == NODE for co in cpx.coords)
+    if cpx.network is None or nodes < sum(cpx.network.hidden_dims):
         raise ValueError("the complex lacks the per-cell restriction of F")
 
 
@@ -239,7 +261,34 @@ def face_pairs(cpx: CanonicalComplex) -> Iterable[tuple[tuple[int, ...], tuple[i
 
 
 def _extend(cell: Cell, s: int, point: IVec, cut: bool = False) -> Cell:
-    return Cell(cell.sign + (s,), point, cell.dim - cut, cell.prefix)
+    return Cell(cell.sign + (s,), point, cell.dim - cut)
+
+
+class _Pattern:
+    """An activation pattern of the layers before a hidden layer, with
+    ``pre``, the layer's map composed with the pattern's masked prefix.
+    Each cell that the layer splits it into holds it.  ``maps`` makes the
+    masked prefix of each bit pattern of the layer, and F's restriction
+    through the output layer ``out`` (None short of it), once, and hands
+    the same objects to every cell of that pattern."""
+
+    __slots__ = ("pre", "span", "out", "made")
+
+    def __init__(self, pre: AffineMap, span: slice, out: AffineMap | None):
+        self.pre = pre
+        self.span = span  # the layer's sign coordinates
+        self.out = out
+        self.made: dict[tuple[int, ...], tuple[AffineMap, AffineMap | None]] = {}
+
+    def maps(self, sign: tuple[int, ...]) -> tuple[AffineMap, AffineMap | None]:
+        """The masked prefix and the restriction of the cell with this sign."""
+        bits = tuple([1 if s > 0 else 0 for s in sign[self.span]])
+        made = self.made.get(bits)
+        if made is None:
+            prefix = self.pre.masked(bits)
+            restriction = None if self.out is None else self.out.compose(prefix)
+            made = self.made[bits] = prefix, restriction
+        return made
 
 
 def _combine(a: int, p: IVec, b: int, q: IVec) -> IVec:
@@ -261,7 +310,12 @@ class _Faces:
     def __init__(self, cells: Sequence[Cell], lineality: Sequence[IVec]):
         self.cells = cells
         self.lineality = lineality
-        self.minimal = SignIndex([c for c in cells if c.dim == len(lineality)])
+
+    @cached_property
+    def minimal(self) -> SignIndex:
+        """The minimal faces, indexed: a side test that L answers reads none."""
+        k = len(self.lineality)
+        return SignIndex([c for c in self.cells if c.dim == k])
 
     @cached_property
     def rays(self) -> tuple[SignIndex, dict[Cell, IVec]]:
@@ -364,53 +418,44 @@ def build_complex(net: ReluNetwork, through_layers: int | None = None) -> Canoni
     for i in range(upto):
         layer = net.layers[i]
         width = layer.out_dim
+        span = slice(len(coords), len(coords) + width)
         for j in range(width):
             coords.append(CoordInfo(NODE, i, j, bha=any(layer.rows[j][:-1])))
-        # each piece with the pre-activation map of its previous-layer cell
-        # and that map's node forms as primitive integer vectors, computed
-        # once per prefix: cells of one activation pattern share one prefix
-        shared: dict[int, tuple[AffineMap, list[IVec]]] = {}
-        pieces: list[tuple[Cell, AffineMap, list[IVec]]] = []
+        out = net.output_layer if i == m - 1 else None
+        # each piece with its previous-layer pattern and that pattern's node
+        # forms as primitive integer vectors, made once per prefix: cells of
+        # one activation pattern share one prefix.  Reading the prefixes
+        # here makes them; the last layer's are made only when read.
+        shared: dict[int, tuple[_Pattern, list[IVec]]] = {}
+        pieces: list[tuple[Cell, _Pattern, list[IVec]]] = []
         for cell in cells.values():
             if id(cell.prefix) not in shared:
-                pre = layer.compose(cell.prefix)
-                shared[id(cell.prefix)] = pre, [primitive(r) for r in pre.rows]
-            pre, forms = shared[id(cell.prefix)]
+                pre = layer.compose(cell.prefix) if i else layer
+                shared[id(cell.prefix)] = _Pattern(pre, span, out), [primitive(r) for r in pre.rows]
+            pattern, forms = shared[id(cell.prefix)]
             if cell.dim == len(lineality):
                 # a node map is zero on a whole cell iff it is zero on a
                 # minimal face p + L of the cell's closure
                 for j, f in enumerate(forms):
                     if idot(f, cell.point) == 0 and not any(idot(f, line) for line in lineality):
                         failures.add(NodeRef(i, j))
-            pieces.append((cell, pre, forms))
+            pieces.append((cell, pattern, forms))
         for j in range(width):
             faces = _Faces([piece for piece, _, _ in pieces], lineality)
             pieces = [
-                (child, pre, forms)
-                for piece, pre, forms in pieces
+                (child, pattern, forms)
+                for piece, pattern, forms in pieces
                 for child in _children(piece, forms[j], faces)
             ]
             if i == 0:
                 lineality = _orthogonal_part(lineality, primitive((*layer.rows[j][:-1], 0)))
         cells = {}
-        masked: dict[tuple[int, tuple[int, ...]], AffineMap] = {}
-        for piece, pre, _ in pieces:
-            bits = tuple(1 if s > 0 else 0 for s in piece.sign[-width:])
-            if (id(pre), bits) not in masked:
-                masked[id(pre), bits] = pre.masked(bits)
-            piece.prefix = masked[id(pre), bits]
+        for piece, pattern, _ in pieces:
+            piece._pattern = pattern
             cells[piece.sign] = piece
-    cpx = CanonicalComplex(
+    return CanonicalComplex(
         n0, tuple(coords), cells, net, node_failures=frozenset(failures), lineality=tuple(lineality)
     )
-    if upto == m:
-        out = net.output_layer
-        restrictions: dict[int, AffineMap] = {}
-        for cell in cells.values():
-            if id(cell.prefix) not in restrictions:
-                restrictions[id(cell.prefix)] = out.compose(cell.prefix)
-            cell.restriction = restrictions[id(cell.prefix)]
-    return cpx
 
 
 def as_complex(source: CanonicalComplex | ReluNetwork) -> CanonicalComplex:
@@ -434,7 +479,7 @@ def refine_by_threshold(cpx: CanonicalComplex, t: Fraction) -> CanonicalComplex:
         if id(cell.restriction) not in forms:
             forms[id(cell.restriction)] = _level_form(cell.restriction, t)
         for child in _children(cell, forms[id(cell.restriction)], faces):
-            child.restriction = cell.restriction
+            child.prefix, child.restriction = cell.prefix, cell.restriction
             refined[child.sign] = child
     coords = cpx.coords + (CoordInfo(LEVEL, -1, 0, False),)
     return CanonicalComplex(

@@ -7,7 +7,7 @@ tuples of row tuples.  Where only signs matter, the work runs over Python
 ``int``: a form or a point is kept as a primitive integer vector (a positive
 multiple of the rational one, with coprime entries), an affine map as
 integer rows over one positive denominator (``affine.AffineMap``), so its
-composition and masking need no fractions, ``RowBasis`` eliminates
+composition and masking need no fractions, ``rank`` eliminates
 fraction-free, and the simplex in ``lp`` pivots on a scaled integer tableau.
 """
 
@@ -145,59 +145,27 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in u)
 
 
-class RowBasis:
-    """Incremental row-echelon basis for rank queries.
-
-    Fraction-free: each basis row is a primitive integer vector, and a row
-    r is reduced against a basis row with pivot entry p by r <- p·r - f·row,
-    f = r[pivot], after dividing p and f by their gcd (after E. H. Bareiss,
-    Math. Comp. 22, 1968).  Rational input is scaled to integers on entry.
-    """
-
-    __slots__ = ("dim", "_rows")
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        # list of (pivot column, primitive integer row), kept sorted by pivot
-        self._rows: list[tuple[int, IVec]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, w: Sequence[Fraction]) -> Sequence[int]:
-        r = w if all(type(x) is int for x in w) else primitive(w)
-        for piv, row in self._rows:
-            f = r[piv]
-            if f:
-                p = row[piv]
-                g = gcd(p, f)
-                if g > 1:
-                    p //= g
-                    f //= g
-                r = [p * x - f * y for x, y in zip(r, row)]
-        return r
-
-    def add(self, w: Sequence[Fraction]) -> bool:
-        """Add w to the span. Returns True iff the rank grew."""
-        r = self._reduce(w)
-        for piv in range(self.dim):
-            if r[piv]:
-                self._rows.append((piv, primitive(r)))
-                self._rows.sort(key=lambda pr: pr[0])
-                return True
-        return False
-
-
 def rank(m: Iterable[Sequence[Fraction]]) -> int:
-    """Row rank by exact Gaussian elimination."""
-    rows = [tuple(r) for r in m]
-    if not rows:
-        return 0
-    basis = RowBasis(len(rows[0]))
-    for r in rows:
-        basis.add(r)
-    return basis.rank
+    """Row rank by one fraction-free elimination: rational rows are scaled
+    to integers, and each step replaces every row r below the pivot row q
+    by (p·r - r[c]·q) / p', where p = q[c] is the pivot and p' the pivot
+    of the step before (1 at the first); the division is exact
+    (E. H. Bareiss, Math. Comp. 22, 1968)."""
+    rows = [r if all(type(x) is int for x in r) else primitive(r) for r in m]
+    done, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(done, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[done], rows[pivot] = rows[pivot], rows[done]
+        q = rows[done]
+        p = q[c]
+        for i in range(done + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], q)]
+        prev = p
+        done += 1
+    return done
 
 
 def affine_solution(

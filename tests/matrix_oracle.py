@@ -6,24 +6,63 @@ denominator; these are the plain rational products it replaced, and the
 tests check the integer maps against them.  ``solve_square``,
 ``nullspace`` and ``RowBasis.contains`` are what the row-based oracles
 (``cellhelpers``, ``complex_oracle``) solve and test constancy with; the
-package reads the same facts off the face lattice.
+package reads the same facts off the face lattice.  ``RowBasis`` computed
+the package's ranks before ``linalg.rank`` did, and is its reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-from relugeom import linalg
 from relugeom.linalg import ZERO, IVec, Mat, Vec, affine_solution, dot, primitive
 
 
-class RowBasis(linalg.RowBasis):
-    """The package's fraction-free row basis, with span membership: an
-    oracle cell keeps the span of its equality normals, and a form is
-    constant on the cell iff its gradient lies in that span."""
+class RowBasis:
+    """Incremental row-echelon basis, with span membership: an oracle cell
+    keeps the span of its equality normals, and a form is constant on the
+    cell iff its gradient lies in that span.
 
-    __slots__ = ()
+    Fraction-free: each basis row is a primitive integer vector, and a row
+    r is reduced against a basis row with pivot entry p by r <- p·r - f·row,
+    f = r[pivot], after dividing p and f by their gcd (after E. H. Bareiss,
+    Math. Comp. 22, 1968).  Rational input is scaled to integers on entry.
+    """
+
+    __slots__ = ("dim", "_rows")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        # list of (pivot column, primitive integer row), kept sorted by pivot
+        self._rows: list[tuple[int, IVec]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, w: Sequence[Fraction]) -> Sequence[int]:
+        r = w if all(type(x) is int for x in w) else primitive(w)
+        for piv, row in self._rows:
+            f = r[piv]
+            if f:
+                p = row[piv]
+                g = gcd(p, f)
+                if g > 1:
+                    p //= g
+                    f //= g
+                r = [p * x - f * y for x, y in zip(r, row)]
+        return r
+
+    def add(self, w: Sequence[Fraction]) -> bool:
+        """Add w to the span. Returns True iff the rank grew."""
+        r = self._reduce(w)
+        for piv in range(self.dim):
+            if r[piv]:
+                self._rows.append((piv, primitive(r)))
+                self._rows.sort(key=lambda pr: pr[0])
+                return True
+        return False
 
     def copy(self) -> "RowBasis":
         out = RowBasis(self.dim)

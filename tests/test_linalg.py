@@ -91,6 +91,43 @@ def test_rank_equals_rank_of_transpose_on_random_matrices():
         assert rank(m) == rank(transpose(m))
 
 
+def test_rank_matches_the_row_basis():
+    """The one-pass elimination against the incremental basis, on int and
+    Fraction matrices of 0-6 rows by 1-6 columns, with zero rows, repeated
+    and dependent rows, and 60-bit entries."""
+    rng = random.Random(25)
+    deficient = 0
+    for trial in range(1500):
+        cols = rng.randint(1, 6)
+        big = trial % 3 == 0
+        den = rng.choice((1, 1, 3, 2**61 - 1)) if trial % 2 else 1
+
+        def entry():
+            k = rng.randint(-(2**60), 2**60) if big else rng.randint(-3, 3)
+            return k if den == 1 else Fraction(k, den)
+
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            roll = rng.random()
+            if rows and roll < 0.2:
+                rows.append(rng.choice(rows))
+            elif rows and roll < 0.4:
+                a, b = rng.choice(rows), rng.choice(rows)
+                p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append(tuple(p * x + q * y for x, y in zip(a, b)))
+            elif roll < 0.5:
+                rows.append((0 * entry(),) * cols)
+            else:
+                rows.append(tuple(entry() for _ in range(cols)))
+        basis = RowBasis(cols)
+        for row in rows:
+            basis.add(row)
+        assert rank(rows) == basis.rank, rows
+        assert rank(tuple(rows)) == rank(list(reversed(rows)))
+        deficient += basis.rank < min(len(rows), cols)
+    assert deficient > 300, deficient
+
+
 def test_solve_square():
     m = mat([[2, 0], [1, 1]])
     assert solve_square(m, vec([4, 3])) == vec([2, 1])
